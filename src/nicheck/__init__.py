@@ -45,7 +45,6 @@ from .verify import (
     decide_ip,
     decide_p,
     decide_ta,
-    validate_witness,
 )
 from .oracle import (
     BoundedVerdict,
@@ -55,6 +54,7 @@ from .oracle import (
     exact_pair_check_ip,
     exact_pair_check_p,
     trace_key,
+    validate_witness,
 )
 from .reduction import (
     DEMO_INSTANCE,

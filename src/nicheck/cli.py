@@ -198,6 +198,9 @@ def main(argv) -> int:
         for line in detail or (str(err),):
             print(line, file=sys.stderr)
         return 3
+    except Exception as err:  # exit code 1 means "insecure"; a crash is not
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
     return 3
 

@@ -16,7 +16,7 @@ from .errors import BudgetError, InputError
 from . import semantics
 from .semantics import TraceProfile
 from .system import System, run
-from .verify import Verdict
+from .verify import Verdict, _shortest_path
 
 NOTIONS = ("p", "ip", "ta", "to", "ito")
 
@@ -111,12 +111,14 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     return _profile_key(profile, notion, ui, _interfering(system, ui))
 
 
-def _count_traces(n_actions: int, depth: int) -> int:
+def _count_traces(n_actions: int, depth: int, budget: int) -> int:
+    """Traces of length <= depth, counted exactly up to ten times `budget`;
+    past that the count stops and is only a lower bound, still above budget."""
     total, layer = 1, 1
     for _ in range(depth):
         layer *= n_actions
         total += layer
-        if total > 10 * DEFAULT_TRACE_BUDGET:
+        if total > 10 * budget:
             break
     return total
 
@@ -126,7 +128,6 @@ def bounded_check(
     notion: str,
     depth: int,
     budget: int = DEFAULT_TRACE_BUDGET,
-    key_notion: str | None = None,
 ) -> BoundedVerdict:
     """Group every trace of length <= depth by its security key, per domain,
     and report the first key class containing two different final
@@ -134,19 +135,20 @@ def bounded_check(
 
     Traces are scanned in shortlex order (length first, then action
     declaration order), so the reported pair is the lexicographically first
-    violating one and verdicts are reproducible.  `key_notion` is an internal
-    hook that lets the partition tests key the same enumeration by the
-    tree-valued semantics.
+    violating one and verdicts are reproducible.  Raises `BudgetError` when
+    more than `budget` traces would be enumerated.
     """
     system.require_valid()
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
-    key_notion = key_notion or notion
+    if depth < 0:
+        raise InputError(f"depth must be non-negative, got {depth}")
     n_actions = len(system.actions)
-    total = _count_traces(n_actions, depth) if n_actions else 1
+    total = _count_traces(n_actions, depth, budget) if n_actions else 1
     if total > budget:
         raise BudgetError(
-            f"bounded check would enumerate {total} traces (budget {budget})", total
+            f"bounded check would enumerate at least {total} traces "
+            f"(budget {budget})", total
         )
 
     domains = system.policy.domains
@@ -155,11 +157,11 @@ def bounded_check(
     obs = system._obs
     # key -> (observation, representative trace); one table per domain
     seen: list[dict] = [dict() for _ in range(nd)]
-    needs = _PROFILE_NEEDS[key_notion]
+    needs = _PROFILE_NEEDS[notion]
 
     def check(profile: TraceProfile) -> Optional[BoundedVerdict]:
         for ui in range(nd):
-            key = _profile_key(profile, key_notion, ui, senders[ui])
+            key = _profile_key(profile, notion, ui, senders[ui])
             token = obs[profile.state][ui]
             prior = seen[ui].get(key)
             if prior is None:
@@ -283,36 +285,11 @@ def exact_pair_check_ip(system: System) -> Verdict:
                     pair, xa, ya = entry
                     suffix_a.append(names[xa])
                     suffix_b.append(names[ya])
-                prefix = tuple(
-                    names[a] for a in _bfs_actions(system, q)
-                )
+                prefix = tuple(names[a] for a in _shortest_path(system, q))
                 alpha = prefix + (names[a0],) + tuple(reversed(suffix_a))
                 beta = prefix + tuple(reversed(suffix_b))
                 return Verdict(False, uname, alpha, beta)
     return Verdict(True)
-
-
-def _bfs_actions(system: System, target: int) -> tuple[int, ...]:
-    start = system.state_index(system.initial)
-    if target == start:
-        return ()
-    step = system._step
-    back = {start: None}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a, t in enumerate(step[s]):
-            if t not in back:
-                back[t] = (s, a)
-                if t == target:
-                    path = []
-                    while t != start:
-                        s, a = back[t]
-                        path.append(a)
-                        t = s
-                    return tuple(reversed(path))
-                queue.append(t)
-    raise InputError("state is unreachable")
 
 
 def check_witness_pair(system: System, notion: str, u: str, alpha, beta) -> bool:
@@ -323,3 +300,16 @@ def check_witness_pair(system: System, notion: str, u: str, alpha, beta) -> bool
     end_a = run(system, system.initial, alpha)
     end_b = run(system, system.initial, beta)
     return system.obs(end_a, u) != system.obs(end_b, u)
+
+
+def validate_witness(system: System, notion: str, verdict: Verdict) -> bool:
+    """Re-check a decider's verdict against the definitional semantics.
+
+    Secure verdicts validate vacuously; an insecure one must name a genuine
+    violating pair for one of the decided notions (see `check_witness_pair`).
+    """
+    if verdict.secure:
+        return True
+    if notion not in ("p", "ip", "ta"):
+        raise InputError(f"no decider notion {notion!r}")
+    return check_witness_pair(system, notion, verdict.domain, verdict.alpha, verdict.beta)

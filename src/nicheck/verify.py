@@ -1,12 +1,17 @@
 """Polynomial-time security deciders built on union-find closures.
 
-Each decider computes, per observer domain (and per one or two excluded
-domains), the smallest equivalence over states generated by a family of seed
-pairs (the "local respect" pairs) and closed under synchronized stepping (the
-"step consistency" rule), checking along the way that merged states agree on
-the observer's observation.  A disagreement is definitionally a security
-violation, and the chain of merges that led to it reconstructs a concrete
-pair of runs witnessing it.
+Each closure computes the smallest equivalence over states generated by a
+family of seed pairs (the "local respect" pairs) and closed under synchronized
+stepping (the "step consistency" rule), checking at every merge that the
+merged states agree on the observation of each observer the relation serves.
+A disagreement is definitionally a security violation, and the chain of
+merges that led to it reconstructs a concrete pair of runs witnessing it.
+
+The relation depends on the observer only in `decide_p`, whose seeds are
+the observer's invisible actions, so it runs one closure per observer.
+`decide_ip` runs one per excluded domain v, and `decide_ta` one more per
+unordered pair {v, w} with no edge either way: the swap seeds of (w, v)
+mirror those of (v, w) and the sync set is symmetric.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError
-from . import semantics
-from .system import System, run
+from .system import System
 
 
 @dataclass(frozen=True)
@@ -151,38 +155,49 @@ def compute_witness(system: System, store: WitnessStore, s: int, t: int) -> tupl
     return alpha, beta
 
 
-def _closure(system: System, u: int, lr_pairs: Iterable, sc_actions: list[int]):
-    """Run one unwinding closure; None when consistent, else a witness.
+def _closure(system: System, observers: list[int], lr_pairs: Iterable,
+             sc_actions: list[int]):
+    """Run one unwinding closure; None when consistent, else a witness
+    (domain name, alpha, beta).
 
     `lr_pairs` yields seed merges (child_s, child_t, diagonal_root, x, y)
     where x and y are the action-name labels justifying the children from the
     root.  `sc_actions` lists the action indices propagated synchronously.
-    Observation checks happen at every merge, and the first failure wins.
+    Every merge is checked against each observer (a domain index) in
+    `observers`; the first merge where one of them sees a difference wins,
+    and among the observers that do, the first listed is reported.
     """
     uf = UnionFind(len(system.states))
     store = WitnessStore()
     pending = deque()
     step = system._step
     obs = system._obs
+    domains = system.policy.domains
 
     def merge(cs, ct, parent, labels):
         store.add((cs, ct), parent, labels)
         pending.append((cs, ct))
         uf.union(cs, ct)
-        return obs[cs][u] != obs[ct][u]
+        obs_s, obs_t = obs[cs], obs[ct]
+        for u in observers:
+            if obs_s[u] != obs_t[u]:
+                return (domains[u], *compute_witness(system, store, cs, ct))
+        return None
 
     for cs, ct, root, x, y in lr_pairs:
         if uf.find(cs) != uf.find(ct):
-            if merge(cs, ct, (root, root), (x, y)):
-                return compute_witness(system, store, cs, ct)
+            hit = merge(cs, ct, (root, root), (x, y))
+            if hit is not None:
+                return hit
     while pending:
         s, t = pending.popleft()
         for a in sc_actions:
             sa, ta = step[s][a], step[t][a]
             if uf.find(sa) != uf.find(ta):
                 name = (system.actions[a],)
-                if merge(sa, ta, (s, t), (name, name)):
-                    return compute_witness(system, store, sa, ta)
+                hit = merge(sa, ta, (s, t), (name, name))
+                if hit is not None:
+                    return hit
     return None
 
 
@@ -209,11 +224,11 @@ def decide_p(system: System) -> Verdict:
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     all_actions = list(range(len(system.actions)))
-    for u, uname in enumerate(system.policy.domains):
+    for u in range(len(system.policy.domains)):
         invisible = [a for a in all_actions if not may[dom[a]][u]]
-        hit = _closure(system, u, _lr_single(system, reach, invisible), all_actions)
+        hit = _closure(system, [u], _lr_single(system, reach, invisible), all_actions)
         if hit is not None:
-            return Verdict(False, uname, *hit)
+            return Verdict(False, *hit)
     return SECURE
 
 
@@ -224,15 +239,15 @@ def decide_ip(system: System) -> Verdict:
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     all_actions = list(range(len(system.actions)))
-    for u, uname in enumerate(system.policy.domains):
-        for v in range(nd):
-            if may[v][u]:
-                continue
-            seeds = _lr_single(system, reach, system._domain_actions[v])
-            sync = [a for a in all_actions if not may[v][dom[a]]]
-            hit = _closure(system, u, seeds, sync)
-            if hit is not None:
-                return Verdict(False, uname, *hit)
+    for v in range(nd):
+        observers = [u for u in range(nd) if not may[v][u]]
+        if not observers:
+            continue
+        seeds = _lr_single(system, reach, system._domain_actions[v])
+        sync = [a for a in all_actions if not may[v][dom[a]]]
+        hit = _closure(system, observers, seeds, sync)
+        if hit is not None:
+            return Verdict(False, *hit)
     return SECURE
 
 
@@ -247,42 +262,19 @@ def decide_ta(system: System) -> Verdict:
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     all_actions = list(range(len(system.actions)))
-    for u, uname in enumerate(system.policy.domains):
-        for v in range(nd):
-            for w in range(nd):
-                if may[w][v] or may[v][w] or may[w][u]:
-                    continue
-                assert v != w  # reflexivity rules out v == w above
-                seeds = _lr_swap(
-                    system, reach, system._domain_actions[v], system._domain_actions[w]
-                )
-                sync = [
-                    a for a in all_actions
-                    if not may[v][dom[a]] or not may[w][dom[a]]
-                ]
-                hit = _closure(system, u, seeds, sync)
-                if hit is not None:
-                    return Verdict(False, uname, *hit)
+    for v in range(nd):
+        for w in range(v + 1, nd):
+            if may[w][v] or may[v][w]:
+                continue
+            observers = [u for u in range(nd) if not may[w][u] or not may[v][u]]
+            seeds = _lr_swap(
+                system, reach, system._domain_actions[v], system._domain_actions[w]
+            )
+            sync = [
+                a for a in all_actions
+                if not may[v][dom[a]] or not may[w][dom[a]]
+            ]
+            hit = _closure(system, observers, seeds, sync)
+            if hit is not None:
+                return Verdict(False, *hit)
     return SECURE
-
-
-def validate_witness(system: System, notion: str, verdict: Verdict) -> bool:
-    """Re-check an insecure verdict against the definitional semantics:
-    equal security key for the named domain, different final observations.
-    Secure verdicts validate vacuously."""
-    if verdict.secure:
-        return True
-    u, alpha, beta = verdict.domain, verdict.alpha, verdict.beta
-    if notion == "p":
-        same = semantics.purge(system, u, alpha) == semantics.purge(system, u, beta)
-    elif notion == "ip":
-        same = semantics.ipurge(system, u, alpha) == semantics.ipurge(system, u, beta)
-    elif notion == "ta":
-        same = semantics.ta(system, u, alpha) is semantics.ta(system, u, beta)
-    else:
-        raise InputError(f"no decider notion {notion!r}")
-    if not same:
-        return False
-    end_a = run(system, system.initial, alpha)
-    end_b = run(system, system.initial, beta)
-    return system.obs(end_a, u) != system.obs(end_b, u)

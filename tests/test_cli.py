@@ -36,6 +36,12 @@ class TestCheck:
     def test_undecidable_notion_rejected_as_usage_error(self, tmp_path):
         assert main(["check", "--notion", "to", write_fixture(tmp_path, "fig5")]) == 3
 
+    def test_undecodable_file_exits_three_not_one(self, tmp_path, capsys):
+        path = tmp_path / "binary.ni"
+        path.write_bytes(b"\xff\xfe\x00states s0\n\x80\x81")
+        assert main(["check", "--notion", "p", str(path)]) == 3
+        assert "UnicodeDecodeError" in capsys.readouterr().err
+
 
 class TestBounded:
     def test_violation_exits_one(self, tmp_path, capsys):
@@ -50,6 +56,13 @@ class TestBounded:
             ["bounded", "--notion", "to", "--depth", "5", write_fixture(tmp_path, "fig5")]
         ) == 2
         assert json.loads(capsys.readouterr().out)["no_violation_up_to"] == 5
+
+    def test_negative_depth_exits_three(self, tmp_path, capsys):
+        assert main(
+            ["bounded", "--notion", "p", "--depth", "-3", write_fixture(tmp_path, "fig5")]
+        ) == 3
+        captured = capsys.readouterr()
+        assert captured.err and not captured.out
 
     def test_budget_exceeded_exits_three(self, tmp_path, capsys):
         code = main(

@@ -61,6 +61,16 @@ class TestBoundedCheck:
             nc.bounded_check(fig6, "p", 12)
         assert err.value.trace_count == sum(4 ** i for i in range(13))
 
+    def test_caller_budget_above_the_default_is_enforced(self, pcp_demo):
+        # 7 actions to depth 12 is about 1.6e10 traces, above a 1e9 budget
+        with pytest.raises(nc.BudgetError) as err:
+            nc.bounded_check(pcp_demo, "p", 12, budget=10 ** 9)
+        assert err.value.trace_count > 10 ** 9
+
+    def test_negative_depth_rejected(self, fig5):
+        with pytest.raises(nc.InputError):
+            nc.bounded_check(fig5, "p", -3)
+
     def test_secure_decidable_notions_have_no_bounded_violations(self):
         for params in corpus_params(25, seed=67):
             s = nc.gen_random_system(params)

@@ -3,7 +3,10 @@ import random
 import pytest
 
 import nicheck as nc
-from nicheck.verify import UnionFind, WitnessStore, _closure, _lr_single, compute_witness
+from nicheck import verify
+from nicheck.verify import (
+    UnionFind, WitnessStore, _closure, _lr_single, _lr_swap, compute_witness,
+)
 from conftest import corpus_params
 
 
@@ -226,3 +229,106 @@ class TestAgreementSmoke:
                 assert ip.secure
             if nc.is_transitive(s.policy):
                 assert p.secure == ta.secure == ip.secure
+
+
+def _perturb(system, rng):
+    """The system with one or two transition targets or observations changed."""
+    trans, obs = dict(system.transitions), dict(system.observations)
+    for _ in range(rng.randint(1, 2)):
+        s = rng.choice(system.states)
+        if rng.random() < 0.5:
+            trans[s, rng.choice(system.actions)] = rng.choice(system.states)
+        else:
+            obs[s, rng.choice(system.policy.domains)] = rng.choice("012")
+    return nc.System(system.policy, system.states, system.initial,
+                     system.action_domain, trans, obs)
+
+
+def _per_observer_ip(system):
+    """decide_ip as one closure per (observer u, excluded domain v)."""
+    reach = system._reachable_idx()
+    may, dom = system._may, system._dom
+    nd = len(system.policy.domains)
+    for u in range(nd):
+        for v in range(nd):
+            if may[v][u]:
+                continue
+            sync = [a for a in range(len(system.actions)) if not may[v][dom[a]]]
+            seeds = _lr_single(system, reach, system._domain_actions[v])
+            hit = _closure(system, [u], seeds, sync)
+            if hit is not None:
+                return nc.Verdict(False, *hit)
+    return nc.SECURE
+
+
+def _per_observer_ta(system):
+    """decide_ta as one swap closure per ordered (u, v, w)."""
+    first = _per_observer_ip(system)
+    if not first.secure:
+        return first
+    reach = system._reachable_idx()
+    may, dom = system._may, system._dom
+    nd = len(system.policy.domains)
+    for u in range(nd):
+        for v in range(nd):
+            for w in range(nd):
+                if may[w][v] or may[v][w] or may[w][u]:
+                    continue
+                sync = [a for a in range(len(system.actions))
+                        if not may[v][dom[a]] or not may[w][dom[a]]]
+                seeds = _lr_swap(system, reach, system._domain_actions[v],
+                                 system._domain_actions[w])
+                hit = _closure(system, [u], seeds, sync)
+                if hit is not None:
+                    return nc.Verdict(False, *hit)
+    return nc.SECURE
+
+
+class TestSharedClosure:
+    """One closure per excluded domain (ip) or unordered pair (ta) checks
+    every observer at once, and decides exactly what one closure per
+    observer decides."""
+
+    BASES = ("fig5", "fig6", "fig7", "fig8", "pcp_demo")
+
+    def test_verdicts_match_per_observer_closures(self):
+        separations = {"p_not_ip": 0, "ip_not_ta": 0}
+        checked = 0
+        for name in self.BASES:
+            rng = random.Random(name)
+            base = nc.fixture(name)
+            for system in [base] + [_perturb(base, rng) for _ in range(100)]:
+                p = nc.decide_p(system)
+                ip, ta = nc.decide_ip(system), nc.decide_ta(system)
+                assert ip.secure == _per_observer_ip(system).secure
+                assert ta.secure == _per_observer_ta(system).secure
+                for notion, v in (("ip", ip), ("ta", ta)):
+                    if not v.secure:
+                        assert nc.check_witness_pair(
+                            system, notion, v.domain, v.alpha, v.beta
+                        )
+                separations["p_not_ip"] += not p.secure and ip.secure
+                separations["ip_not_ta"] += ip.secure and not ta.secure
+                checked += 1
+        assert checked == 505
+        # the perturbations separate the notions, so the agreement is not vacuous
+        assert separations["p_not_ip"] >= 50 and separations["ip_not_ta"] >= 20
+
+    def test_closure_counts_under_fig6_policy(self, fig6, monkeypatch):
+        # constant observations: secure, so every closure runs to completion
+        secure = nc.System(fig6.policy, fig6.states, fig6.initial,
+                           fig6.action_domain, fig6.transitions)
+        calls = []
+        real = verify._closure
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_closure", counting)
+        assert nc.decide_ip(secure).secure
+        assert len(calls) == 5  # one per excluded domain
+        calls.clear()
+        assert nc.decide_ta(secure).secure
+        assert len(calls) == 5 + 6  # plus one per unordered non-interfering pair
+        assert max(len(observers) for observers in calls) > 1
