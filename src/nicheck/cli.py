@@ -152,7 +152,7 @@ def main(argv) -> int:
 
         if args.command == "bounded":
             system = _load(args.file)
-            kwargs = {"budget": args.budget} if args.budget else {}
+            kwargs = {"budget": args.budget} if args.budget is not None else {}
             outcome = bounded_check(system, args.notion, args.depth, **kwargs)
             if outcome.insecure:
                 print(_witness_json(system, args.notion, outcome.domain,

@@ -13,7 +13,6 @@ from collections import deque
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from . import semantics
 from .semantics import TraceProfile
 from .system import System, run
 from .verify import Verdict, _shortest_path
@@ -42,7 +41,8 @@ class BoundedVerdict:
 
 _PROFILE_NEEDS = {
     "p": ("purge",),
-    "ip": (),
+    # ipurge_u, read off the incrementally kept position mask of u
+    "ip": ("ipurge",),
     "ta": ("ta",),
     # purge_u, tview_u, then tview_v for every other v that may interfere with u
     "to": ("purge", "tview"),
@@ -73,8 +73,7 @@ def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]
     if notion == "p":
         return profile.purges[ui]
     if notion == "ip":
-        sys = profile.system
-        return semantics.ipurge(sys, sys.policy.domains[ui], profile.trace)
+        return profile.ipurge(ui)
     if notion == "ta":
         return profile.ta_vec[ui]
     if notion == "to":
@@ -172,19 +171,34 @@ def bounded_check(
                 )
         return None
 
-    def scan(profile: TraceProfile, remaining: int) -> Optional[BoundedVerdict]:
-        if remaining == 0:
-            return check(profile)
-        for a in system.actions:
-            hit = scan(profile.extend(a), remaining - 1)
-            if hit is not None:
-                return hit
+    actions = system.actions
+
+    def scan(length: int) -> Optional[BoundedVerdict]:
+        # Depth-first over the traces of exactly `length` actions, in action
+        # declaration order.  The stack holds each open prefix with the index
+        # of the next action to try, so depth is not bounded by recursion.
+        root = TraceProfile.start(system, needs=needs)
+        if length == 0:
+            return check(root)
+        stack = [(root, 0)]
+        while stack:
+            profile, i = stack.pop()
+            if i == n_actions:
+                continue
+            stack.append((profile, i + 1))
+            child = profile.extend(actions[i])
+            if len(stack) == length:
+                hit = check(child)
+                if hit is not None:
+                    return hit
+            else:
+                stack.append((child, 0))
         return None
 
     # Iterative deepening keeps memory linear in depth while preserving the
     # shortlex scan order; key tables persist so pairs may differ in length.
     for length in range(depth + 1):
-        hit = scan(TraceProfile.start(system, needs=needs), length)
+        hit = scan(length)
         if hit is not None:
             return hit
     return BoundedVerdict(False, depth)

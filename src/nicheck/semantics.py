@@ -268,7 +268,7 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # Incremental per-prefix profile (drives the enumeration oracles)
 # ---------------------------------------------------------------------------
 
-_NEED_KEYS = ("purge", "views", "tview", "ftview", "ta", "to", "ito")
+_NEED_KEYS = ("purge", "ipurge", "views", "tview", "ftview", "ta", "to", "ito")
 
 
 class TraceProfile:
@@ -278,20 +278,28 @@ class TraceProfile:
     `needs` selects the tracked components; untracked ones stay None.  The
     incremental recurrences here mirror the definitional functions above and
     the two are cross-checked in the test suite.
+
+    The `ipurge` component keeps, per domain u, an int bitmask of the trace
+    positions that a permitted chain links to u; `ipurge(ui)` reads the
+    intransitive purge off it.  Appending an action of domain d at position n
+    sets every u that d may interfere with to u | d | {n}: the positions
+    linked to the set {u, d} are those linked to u or to d, and a chain
+    through the new action must reach d before it.
     """
 
     __slots__ = (
         "system", "state", "trace",
-        "purges", "views", "tviews", "ftviews",
+        "purges", "ipurge_masks", "views", "tviews", "ftviews",
         "ta_vec", "to_vec", "ito_vec",
     )
 
-    def __init__(self, system, state, trace, purges, views, tviews, ftviews,
-                 ta_vec, to_vec, ito_vec):
+    def __init__(self, system, state, trace, purges, ipurge_masks, views, tviews,
+                 ftviews, ta_vec, to_vec, ito_vec):
         self.system = system
         self.state = state
         self.trace = trace
         self.purges = purges
+        self.ipurge_masks = ipurge_masks
         self.views = views
         self.tviews = tviews
         self.ftviews = ftviews
@@ -316,6 +324,7 @@ class TraceProfile:
             s0,
             (),
             ((),) * nd if "purge" in needs else None,
+            (0,) * nd if "ipurge" in needs else None,
             tuple(((OBS, t),) for t in obs0) if "views" in needs else None,
             ((),) * nd if "tview" in needs else None,
             tuple(((OBS, t),) for t in obs0) if "ftview" in needs else None,
@@ -336,6 +345,11 @@ class TraceProfile:
         purges = self.purges
         if purges is not None:
             purges = tuple([p + (action,) if r else p for p, r in zip(purges, row)])
+
+        masks = self.ipurge_masks
+        if masks is not None:
+            linked = masks[d] | 1 << len(self.trace)
+            masks = tuple([m | linked if r else m for m, r in zip(masks, row)])
 
         old_views = self.views
         views = old_views
@@ -386,5 +400,11 @@ class TraceProfile:
 
         return TraceProfile(
             sys, state, self.trace + (action,),
-            purges, views, tviews, ftviews, ta_vec, to_vec, ito_vec,
+            purges, masks, views, tviews, ftviews, ta_vec, to_vec, ito_vec,
         )
+
+    def ipurge(self, ui: int) -> tuple[str, ...]:
+        """The intransitive purge of the trace for domain index `ui`; equal to
+        the module-level `ipurge`."""
+        mask = self.ipurge_masks[ui]
+        return tuple([a for i, a in enumerate(self.trace) if mask >> i & 1])

@@ -70,6 +70,13 @@ class TestBounded:
         )
         assert code == 3 and capsys.readouterr().err
 
+    def test_zero_budget_is_enforced(self, tmp_path, capsys):
+        code = main(["bounded", "--notion", "p", "--depth", "3", "--budget", "0",
+                     write_fixture(tmp_path, "fig6")])
+        captured = capsys.readouterr()
+        assert code == 3 and not captured.out
+        assert "budget 0" in captured.err
+
 
 class TestGenerators:
     def test_fixture_output_parses_back(self, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -70,6 +72,51 @@ class TestBoundedCheck:
     def test_negative_depth_rejected(self, fig5):
         with pytest.raises(nc.InputError):
             nc.bounded_check(fig5, "p", -3)
+
+    def test_deep_scan_does_not_recurse(self):
+        # One action, so depth 300 is 301 traces; a recursive scan would need
+        # a frame per action and overflow the lowered limit.
+        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
+        frames, frame = 0, sys._getframe()
+        while frame is not None:
+            frames, frame = frames + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 100)
+        try:
+            out = nc.bounded_check(s, "ip", 300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not out.insecure and out.depth == 300
+
+    @staticmethod
+    def _reference_ip_scan(s, depth):
+        # Shortlex enumeration keyed by the definitional ipurge; the first
+        # trace of each key class is its representative.
+        seen = [dict() for _ in s.policy.domains]
+        for length in range(depth + 1):
+            for alpha in itertools.product(s.actions, repeat=length):
+                end = nc.run(s, s.initial, alpha)
+                for table, u in zip(seen, s.policy.domains):
+                    token = s.obs(end, u)
+                    prior = table.setdefault(nc.ipurge(s, u, alpha), (token, alpha))
+                    if prior[0] != token:
+                        return u, prior[1], alpha
+        return None
+
+    def test_bounded_ip_matches_definitional_reference(self):
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems += [nc.gen_random_system(p) for p in corpus_params(40, seed=89)]
+        insecure = 0
+        for s in systems:
+            out = nc.bounded_check(s, "ip", 4)
+            ref = self._reference_ip_scan(s, 4)
+            if ref is None:
+                assert not out.insecure and out.depth == 4
+            else:
+                insecure += 1
+                assert out.insecure
+                assert (out.domain, out.alpha, out.beta) == ref
+        assert insecure >= 10
 
     def test_secure_decidable_notions_have_no_bounded_violations(self):
         for params in corpus_params(25, seed=67):

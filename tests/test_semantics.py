@@ -227,6 +227,7 @@ class TestTraceProfile:
                 assert prof.tviews[i] == nc.tview(s, d, alpha)
                 assert prof.ftviews[i] == nc.ftview(s, d, alpha)
                 assert prof.purges[i] == nc.purge(s, d, alpha)
+                assert prof.ipurge(i) == nc.ipurge(s, d, alpha)
                 assert prof.ta_vec[i] is nc.ta(s, d, alpha)
                 assert prof.to_vec[i] is nc.to(s, d, alpha)
                 assert prof.ito_vec[i] is nc.ito(s, d, alpha)
@@ -235,6 +236,7 @@ class TestTraceProfile:
         prof = TraceProfile.start(fig5, needs=("ta",)).extend("h")
         assert prof.ta_vec is not None
         assert prof.views is None and prof.purges is None
+        assert prof.ipurge_masks is None
 
     def test_unknown_component_rejected(self, fig5):
         with pytest.raises(nc.InputError):
