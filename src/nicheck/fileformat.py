@@ -22,10 +22,12 @@ from .system import NULL_OBS, Policy, System
 def parse_system(text: str) -> System:
     """Parse a system file; raises InputError carrying line-numbered
     diagnostics when anything is wrong."""
-    domains: list[str] = []
+    # Insertion-ordered dicts: declaration order plus O(1) membership tests,
+    # which keep loading linear in the number of lines.
+    domains: dict[str, None] = {}
     edges: list[tuple[str, str]] = []
     actions: dict[str, str] = {}
-    states: list[str] = []
+    states: dict[str, None] = {}
     initial: str | None = None
     transitions: dict[tuple[str, str], str] = {}
     observations: dict[tuple[str, str], str] = {}
@@ -48,7 +50,7 @@ def parse_system(text: str) -> System:
                 if fields[1] in domains:
                     diags.append(f"line {lineno}: duplicate domain {fields[1]!r}")
                 else:
-                    domains.append(fields[1])
+                    domains[fields[1]] = None
         elif kind == "interferes":
             if arity(3, fields, kind):
                 u, v = fields[1], fields[2]
@@ -72,7 +74,7 @@ def parse_system(text: str) -> System:
                 if name in states:
                     diags.append(f"line {lineno}: duplicate state {name!r}")
                     continue
-                states.append(name)
+                states[name] = None
                 if len(fields) == 3:
                     if initial is not None:
                         diags.append(f"line {lineno}: multiple initial states")

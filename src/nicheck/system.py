@@ -18,12 +18,12 @@ NULL_OBS = "_"
 
 
 def _bad_name(name) -> bool:
-    return (
-        not isinstance(name, str)
-        or not name
-        or "#" in name
-        or any(ch.isspace() for ch in name)
-    )
+    """True unless `name` is a non-empty string without '#' or whitespace.
+
+    `str.split()` splits on exactly the code points `str.isspace()` accepts,
+    so a name it leaves whole holds no whitespace and is not empty.
+    """
+    return not isinstance(name, str) or "#" in name or name.split() != [name]
 
 
 class Policy:
@@ -182,14 +182,17 @@ class System:
         self._domain_actions: list[list[int]] = [[] for _ in range(nd)]
         for ai, di in enumerate(self._dom):
             self._domain_actions[di].append(ai)
-        self._step = [
-            [self._sidx[self.transitions.get((s, a), s)] for a in self.actions]
-            for s in self.states
-        ]
-        self._obs = [
-            tuple(self.observations.get((s, d), NULL_OBS) for d in self.policy.domains)
-            for s in self.states
-        ]
+        # Default rows (self-loops, null observations), then one pass over the
+        # declared entries, so no key tuple is built per table cell.
+        sidx, aidx = self._sidx, self._aidx
+        na = len(self.actions)
+        self._step = [[i] * na for i in range(len(self.states))]
+        for (s, a), t in self.transitions.items():
+            self._step[sidx[s]][aidx[a]] = sidx[t]
+        obs = [[NULL_OBS] * nd for _ in self.states]
+        for (s, d), token in self.observations.items():
+            obs[sidx[s]][didx[d]] = token
+        self._obs = [tuple(row) for row in obs]
 
     def require_valid(self) -> None:
         if self.diagnostics:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nicheck as nc
+from nicheck.system import _bad_name
 from conftest import corpus_params, random_trace
 
 
@@ -150,6 +152,52 @@ class TestValidate:
             {("s0", "A"): "two words"},
         )
         assert any("bad token" in d for d in nc.validate(s))
+
+
+def _bad_name_reference(name) -> bool:
+    return (
+        not isinstance(name, str)
+        or not name
+        or "#" in name
+        or any(ch.isspace() for ch in name)
+    )
+
+
+class TestBadName:
+    @pytest.mark.parametrize(
+        "name", ["", "a b", "\x1c", "\x85", " ", "a#b", "s0", "\u00e9", 7, None]
+    )
+    def test_matches_reference_on_edge_cases(self, name):
+        assert _bad_name(name) == _bad_name_reference(name)
+
+    @given(st.text())
+    def test_matches_reference_on_any_text(self, name):
+        assert _bad_name(name) == _bad_name_reference(name)
+
+
+class TestTables:
+    """`_step` and `_obs` hold exactly the declared entries over the defaults."""
+
+    def systems(self):
+        yield from (nc.fixture(name) for name in nc.FIXTURE_NAMES)
+        yield nc.augment_final(nc.fixture("fig8"))
+        yield from (nc.gen_random_system(p) for p in corpus_params(20, seed=61))
+        yield nc.System(
+            nc.Policy(("A", "B"), (("A", "B"),)),
+            ("s0", "s1"), "s0", {"a": "A", "b": "B"},
+            {("s0", "a"): "s0", ("s0", "b"): "s1", ("s1", "b"): "s1"},
+            {("s0", "A"): nc.NULL_OBS, ("s1", "B"): "x", ("s1", "A"): nc.NULL_OBS},
+        )
+
+    def test_tables_match_declarations(self):
+        for system in self.systems():
+            for si, s in enumerate(system.states):
+                for ai, a in enumerate(system.actions):
+                    t = system.transitions.get((s, a), s)
+                    assert system._step[si][ai] == system._sidx[t]
+                for di, d in enumerate(system.policy.domains):
+                    token = system.observations.get((s, d), nc.NULL_OBS)
+                    assert system._obs[si][di] == token
 
 
 class TestFromFunctions:
