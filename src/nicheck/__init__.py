@@ -38,10 +38,7 @@ from .semantics import (
 )
 from .verify import (
     SECURE,
-    UnionFind,
     Verdict,
-    WitnessStore,
-    compute_witness,
     decide_ip,
     decide_p,
     decide_ta,

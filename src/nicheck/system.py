@@ -101,10 +101,12 @@ class System:
     diagnostics list.  Transitions not mentioned default to self-loops and
     observations not mentioned default to the null token.
 
-    Valid systems are immutable and may be shared freely across threads, with
-    one caveat: the internal structural-sharing table for information trees is
-    not locked, so tree-building semantics should be driven from one thread
-    per system at a time.
+    Valid systems are immutable: nothing changes them after construction, and
+    the rows of the step and observation tables are tuples.  They may be
+    shared freely across threads, with one caveat: the internal
+    structural-sharing table for information trees is not locked, so
+    tree-building semantics should be driven from one thread per system at a
+    time.
     """
 
     def __init__(
@@ -186,9 +188,10 @@ class System:
         # declared entries, so no key tuple is built per table cell.
         sidx, aidx = self._sidx, self._aidx
         na = len(self.actions)
-        self._step = [[i] * na for i in range(len(self.states))]
+        step = [[i] * na for i in range(len(self.states))]
         for (s, a), t in self.transitions.items():
-            self._step[sidx[s]][aidx[a]] = sidx[t]
+            step[sidx[s]][aidx[a]] = sidx[t]
+        self._step = [tuple(row) for row in step]
         obs = [[NULL_OBS] * nd for _ in self.states]
         for (s, d), token in self.observations.items():
             obs[sidx[s]][didx[d]] = token
@@ -300,7 +303,7 @@ class System:
             self.initial,
             self.actions,
             tuple(self.action_domain[a] for a in self.actions),
-            tuple(tuple(row) for row in self._step),
+            tuple(self._step),
             tuple(self._obs),
         )
 

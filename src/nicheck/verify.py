@@ -7,6 +7,10 @@ merged states agree on the observation of each observer the relation serves.
 A disagreement is definitionally a security violation, and the chain of
 merges that led to it reconstructs a concrete pair of runs witnessing it.
 
+`_closure` is one flat loop with no helper objects: an inlined union-find
+over an int list, and the merge forest in parallel lists that a cursor walks
+in merge order as the queue of pairs still to step.
+
 The relation depends on the observer only in `decide_p`, whose seeds are
 the observer's invisible actions, so it runs one closure per observer.
 `decide_ip` runs one per excluded domain v, and `decide_ta` one more per
@@ -46,67 +50,6 @@ class Verdict:
 SECURE = Verdict(True)
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    __slots__ = ("parent", "rank", "unions")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.unions = 0
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the sets of x and y; False if they were already one set."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        rank = self.rank
-        if rank[rx] < rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if rank[rx] == rank[ry]:
-            rank[rx] += 1
-        self.unions += 1
-        return True
-
-
-class WitnessStore:
-    """Merge justifications: child pair -> (parent pair, action labels).
-
-    Each entry records that the child states are reached from the parent
-    states by the stored action strings (each of length at most two, possibly
-    empty).  At most one entry exists per child pair, and following parents
-    always terminates in a diagonal pair (r, r), so the store is a forest of
-    trees rooted at diagonal pairs.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: dict[tuple[int, int], tuple[tuple[int, int], tuple, tuple]] = {}
-
-    def add(self, child, parent, labels):
-        assert child not in self.entries
-        self.entries[child] = (parent, labels[0], labels[1])
-
-    def __contains__(self, pair):
-        return pair in self.entries
-
-    def __getitem__(self, pair):
-        return self.entries[pair]
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _shortest_path(system: System, target: int) -> tuple[int, ...]:
     """Action indices of a BFS-shortest path from the initial state to target."""
     start = system.state_index(system.initial)
@@ -128,31 +71,25 @@ def _shortest_path(system: System, target: int) -> tuple[int, ...]:
                         t = s
                     return tuple(reversed(path))
                 queue.append(t)
-    raise InputError("witness state is unreachable")  # store invariant breach
+    raise InputError("witness state is unreachable")  # merge forest invariant breach
 
 
-def compute_witness(system: System, store: WitnessStore, s: int, t: int) -> tuple:
-    """Reconstruct two runs ending in states s and t from the merge forest.
+def _witness(system: System, up: list, label: list, seeds: int, k: int) -> tuple:
+    """Two runs ending in the states of merge k, rebuilt from the merge forest.
 
-    Walks parent links to the diagonal root and prepends a shortest action
-    path from the initial state to that root.  Returns (alpha, beta) as
-    action-name tuples with s = s0.alpha and t = s0.beta.
+    Walks parent merges down to a seed, whose labels (x, y) lead from its
+    diagonal root, and prepends a shortest path from the initial state to
+    that root.  Returns (alpha, beta) as action-name tuples.
     """
-    xs: list = []
-    ys: list = []
-    while s != t:
-        try:
-            (s2, t2), x, y = store[(s, t)]
-        except KeyError:
-            raise InputError("dangling witness entry") from None
-        xs[:0] = x
-        ys[:0] = y
-        s, t = s2, t2
-    prefix = _shortest_path(system, s)
+    acts = []
+    while k >= seeds:
+        acts.append(label[k])
+        k = up[k]
     names = system.actions
-    alpha = tuple(names[a] for a in prefix) + tuple(xs)
-    beta = tuple(names[a] for a in prefix) + tuple(ys)
-    return alpha, beta
+    prefix = tuple(names[a] for a in _shortest_path(system, up[k]))
+    tail = tuple(names[a] for a in reversed(acts))
+    x, y = label[k]
+    return prefix + x + tail, prefix + y + tail
 
 
 def _closure(system: System, observers: list[int], lr_pairs: Iterable,
@@ -166,55 +103,113 @@ def _closure(system: System, observers: list[int], lr_pairs: Iterable,
     Every merge is checked against each observer (a domain index) in
     `observers`; the first merge where one of them sees a difference wins,
     and among the observers that do, the first listed is reported.
+
+    The union-find is one int list: `parent[x]` is x's parent, or -1 - rank
+    when x is a root.  Finds halve paths and unions go by rank.  Merge k
+    joins `left[k]` and `right[k]`.  Seeds come first, so merge k is a seed
+    when k < `seeds`; then `up[k]` is its diagonal root and `label[k]` its
+    (x, y), else `up[k]` is the merge it was stepped from and `label[k]` the
+    action index.  The sync phase walks the merges in order.
     """
-    uf = UnionFind(len(system.states))
-    store = WitnessStore()
-    pending = deque()
     step = system._step
     obs = system._obs
     domains = system.policy.domains
-
-    def merge(cs, ct, parent, labels):
-        store.add((cs, ct), parent, labels)
-        pending.append((cs, ct))
-        uf.union(cs, ct)
-        obs_s, obs_t = obs[cs], obs[ct]
-        for u in observers:
-            if obs_s[u] != obs_t[u]:
-                return (domains[u], *compute_witness(system, store, cs, ct))
-        return None
-
+    parent = [-1] * len(system.states)
+    left, right, up, label = [], [], [], []
     for cs, ct, root, x, y in lr_pairs:
-        if uf.find(cs) != uf.find(ct):
-            hit = merge(cs, ct, (root, root), (x, y))
-            if hit is not None:
-                return hit
-    while pending:
-        s, t = pending.popleft()
+        if cs == ct:
+            continue
+        rs = cs
+        while (p := parent[rs]) >= 0:
+            g = parent[p]
+            if g < 0:
+                rs = p
+                break
+            parent[rs] = rs = g
+        rt = ct
+        while (p := parent[rt]) >= 0:
+            g = parent[p]
+            if g < 0:
+                rt = p
+                break
+            parent[rt] = rt = g
+        if rs == rt:
+            continue
+        if parent[rs] > parent[rt]:  # -1 - rank: lower means higher rank
+            rs, rt = rt, rs
+        if parent[rs] == parent[rt]:
+            parent[rs] -= 1
+        parent[rt] = rs
+        left.append(cs)
+        right.append(ct)
+        up.append(root)
+        label.append((x, y))
+        obs_s, obs_t = obs[cs], obs[ct]
+        if obs_s != obs_t:
+            for u in observers:
+                if obs_s[u] != obs_t[u]:
+                    n = len(left)
+                    return (domains[u], *_witness(system, up, label, n, n - 1))
+    seeds = len(left)
+    k = 0
+    while k < len(left):
+        row_s, row_t = step[left[k]], step[right[k]]
         for a in sc_actions:
-            sa, ta = step[s][a], step[t][a]
-            if uf.find(sa) != uf.find(ta):
-                name = (system.actions[a],)
-                hit = merge(sa, ta, (s, t), (name, name))
-                if hit is not None:
-                    return hit
+            sa, ta = row_s[a], row_t[a]
+            if sa == ta:
+                continue
+            rs = sa
+            while (p := parent[rs]) >= 0:
+                g = parent[p]
+                if g < 0:
+                    rs = p
+                    break
+                parent[rs] = rs = g
+            rt = ta
+            while (p := parent[rt]) >= 0:
+                g = parent[p]
+                if g < 0:
+                    rt = p
+                    break
+                parent[rt] = rt = g
+            if rs == rt:
+                continue
+            if parent[rs] > parent[rt]:  # -1 - rank, as above
+                rs, rt = rt, rs
+            if parent[rs] == parent[rt]:
+                parent[rs] -= 1
+            parent[rt] = rs
+            left.append(sa)
+            right.append(ta)
+            up.append(k)
+            label.append(a)
+            obs_s, obs_t = obs[sa], obs[ta]
+            if obs_s != obs_t:
+                for u in observers:
+                    if obs_s[u] != obs_t[u]:
+                        return (domains[u],
+                                *_witness(system, up, label, seeds, len(left) - 1))
+        k += 1
     return None
 
 
 def _lr_single(system: System, reach: list[int], actions: list[int]):
     step, names = system._step, system.actions
+    labels = [(a, (names[a],)) for a in actions]
     for s in reach:
-        for a in actions:
-            yield step[s][a], s, s, (names[a],), ()
+        row = step[s]
+        for a, x in labels:
+            yield row[a], s, s, x, ()
 
 
 def _lr_swap(system: System, reach: list[int], v_actions: list[int], w_actions: list[int]):
     step, names = system._step, system.actions
     for s in reach:
+        row = step[s]
         for a in v_actions:
-            sa = step[s][a]
+            row_a = step[row[a]]
             for b in w_actions:
-                yield step[sa][b], step[step[s][b]][a], s, (names[a], names[b]), (names[b], names[a])
+                yield row_a[b], step[row[b]][a], s, (names[a], names[b]), (names[b], names[a])
 
 
 def decide_p(system: System) -> Verdict:

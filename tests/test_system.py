@@ -191,6 +191,7 @@ class TestTables:
 
     def test_tables_match_declarations(self):
         for system in self.systems():
+            assert all(type(row) is tuple for row in system._step)
             for si, s in enumerate(system.states):
                 for ai, a in enumerate(system.actions):
                     t = system.transitions.get((s, a), s)

@@ -4,10 +4,10 @@ import pytest
 
 import nicheck as nc
 from nicheck import verify
-from nicheck.verify import (
-    UnionFind, WitnessStore, _closure, _lr_single, _lr_swap, compute_witness,
-)
+from nicheck.verify import _closure, _lr_single, _lr_swap
 from conftest import corpus_params
+import reference_closure
+from reference_closure import UnionFind, WitnessStore, compute_witness
 
 
 class TestUnionFind:
@@ -332,3 +332,62 @@ class TestSharedClosure:
         assert nc.decide_ta(secure).secure
         assert len(calls) == 5 + 6  # plus one per unordered non-interfering pair
         assert max(len(observers) for observers in calls) > 1
+
+
+def _single_leak(n, seed, fanout):
+    """A sparse random machine under fig5's policy where L observes "1" at
+    one state entered by an H action late in BFS order, and nothing anywhere
+    else: the violation sits at the end of a long merge chain."""
+    rng = random.Random(seed)
+    policy = nc.fixture("fig5").policy
+    actions = {f"a{i}": policy.domains[i % 3] for i in range(6)}
+    states = [f"s{i}" for i in range(n)]
+    trans = {}
+    for s in range(n):
+        for a in range(6):
+            t = rng.randrange(n)
+            if t != s and rng.random() < fanout:
+                trans[states[s], f"a{a}"] = states[t]
+    base = nc.System(policy, states, states[0], actions, trans)
+    for q in reversed(nc.reachable_states(base)):
+        for a in actions:
+            t = trans.get((q, a), q)
+            if actions[a] == "H" and t != q:
+                return nc.System(policy, states, states[0], actions, trans,
+                                 {(t, "L"): "1"})
+    return base
+
+
+class TestFlatClosureIdentity:
+    """The flat `_closure` gives the very verdicts and witnesses of the
+    object-based reference engine it replaced."""
+
+    def systems(self):
+        yield from (nc.fixture(name) for name in nc.FIXTURE_NAMES)
+        yield from (nc.gen_random_system(p) for p in corpus_params(500, seed=2))
+        for name in TestSharedClosure.BASES:
+            rng = random.Random(name)
+            base = nc.fixture(name)
+            yield from (_perturb(base, rng) for _ in range(100))
+        rng = random.Random(71)
+        for i in range(12):
+            yield nc.gen_random_system(nc.GenParams(
+                rng.randint(250, 350), rng.randint(2, 5), rng.randint(2, 4),
+                rng.randint(2, 3), rng.choice([0.0, 0.2, 0.5]), 7100 + i))
+        for i in range(6):
+            yield _single_leak(500, 7200 + i, 0.3)
+
+    def test_verdicts_equal_reference_engine(self, monkeypatch):
+        deciders = (nc.decide_p, nc.decide_ip, nc.decide_ta)
+        systems = list(self.systems())
+        flat = [decide(s) for s in systems for decide in deciders]
+        monkeypatch.setattr(verify, "_closure", reference_closure._closure)
+        reference = [decide(s) for s in systems for decide in deciders]
+        assert len(flat) == len(reference) == 3 * 1023
+        for got, want in zip(flat, reference):
+            assert repr(got) == repr(want)
+            assert got == want
+        # violations are found mid-closure, some at the end of long chains
+        insecure = [v for v in flat if not v.secure]
+        assert len(insecure) >= 1000
+        assert max(len(v.alpha) for v in insecure) >= 15
