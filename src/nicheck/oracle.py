@@ -69,24 +69,33 @@ def _interfering(system: System, ui: int) -> list[int]:
 # actions both trees hold u's view before the action, so u contributes its
 # tview and never its ftview, which would also record the observation after
 # u's last action.
+#
+# Every key of u changes only at actions whose domain may interfere with u:
+# purge_u, the position mask behind ipurge_u and the tree vectors move only
+# where the policy row of the acting domain holds u, and the actor's tview or
+# ftview is part of u's key only when the actor is u or one of its senders.
+# `bounded_check` skips the other domains on the strength of this.
+_KEYS = {
+    "p": lambda profile, ui, senders: profile.purges[ui],
+    "ip": lambda profile, ui, senders: profile.ipurge(ui),
+    "ta": lambda profile, ui, senders: profile.ta_vec[ui],
+    "to": lambda profile, ui, senders: (
+        profile.purges[ui], profile.tviews[ui], *map(profile.tviews.__getitem__, senders)
+    ),
+    "ito": lambda profile, ui, senders: (
+        profile.purges[ui], profile.tviews[ui], *map(profile.ftviews.__getitem__, senders)
+    ),
+    "to-tree": lambda profile, ui, senders: profile.to_vec[ui],
+    "ito-tree": lambda profile, ui, senders: profile.ito_vec[ui],
+}
+
+
 def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
-    if notion == "p":
-        return profile.purges[ui]
-    if notion == "ip":
-        return profile.ipurge(ui)
-    if notion == "ta":
-        return profile.ta_vec[ui]
-    if notion == "to":
-        tviews = profile.tviews
-        return (profile.purges[ui], tviews[ui], *[tviews[v] for v in senders])
-    if notion == "ito":
-        ftviews = profile.ftviews
-        return (profile.purges[ui], profile.tviews[ui], *[ftviews[v] for v in senders])
-    if notion == "to-tree":
-        return profile.to_vec[ui]
-    if notion == "ito-tree":
-        return profile.ito_vec[ui]
-    raise InputError(f"unknown security notion {notion!r}")
+    try:
+        key = _KEYS[notion]
+    except KeyError:
+        raise InputError(f"unknown security notion {notion!r}") from None
+    return key(profile, ui, senders)
 
 
 def trace_key(system: System, notion: str, u: str, alpha) -> object:
@@ -136,6 +145,14 @@ def bounded_check(
     declaration order), so the reported pair is the lexicographically first
     violating one and verdicts are reproducible.  Raises `BudgetError` when
     more than `budget` traces would be enumerated.
+
+    Each length is built from the profiles of the previous one, extending
+    each by every action in declaration order, so every trace is extended
+    exactly once; the last level is not kept, so at most |A|^(depth-1)
+    profiles are held, a number the budget already bounds.  A trace's key is
+    computed and looked up only for the domains its last action may interfere
+    with; every other domain keeps its parent's key and, the parent having
+    passed, clashes exactly when its observation changed.
     """
     system.require_valid()
     if notion not in NOTIONS:
@@ -153,54 +170,52 @@ def bounded_check(
     domains = system.policy.domains
     nd = len(domains)
     senders = [_interfering(system, ui) for ui in range(nd)]
-    obs = system._obs
+    may, dom, obs = system._may, system._dom, system._obs
+    key = _KEYS[notion]
+    # Per action: the domains whose key it may change (those its domain may
+    # interfere with) and those whose key it leaves as the parent's.
+    moves = []
+    for ai, action in enumerate(system.actions):
+        row = may[dom[ai]]
+        moves.append((action, [u for u in range(nd) if row[u]],
+                      [u for u in range(nd) if not row[u]]))
+
+    root = TraceProfile.start(system, needs=_PROFILE_NEEDS[notion])
+    tokens = obs[root.state]
     # key -> (observation, representative trace); one table per domain
-    seen: list[dict] = [dict() for _ in range(nd)]
-    needs = _PROFILE_NEEDS[notion]
-
-    def check(profile: TraceProfile) -> Optional[BoundedVerdict]:
-        for ui in range(nd):
-            key = _profile_key(profile, notion, ui, senders[ui])
-            token = obs[profile.state][ui]
-            prior = seen[ui].get(key)
-            if prior is None:
-                seen[ui][key] = (token, profile.trace)
-            elif prior[0] != token:
-                return BoundedVerdict(
-                    True, None, domains[ui], prior[1], profile.trace
-                )
-        return None
-
-    actions = system.actions
-
-    def scan(length: int) -> Optional[BoundedVerdict]:
-        # Depth-first over the traces of exactly `length` actions, in action
-        # declaration order.  The stack holds each open prefix with the index
-        # of the next action to try, so depth is not bounded by recursion.
-        root = TraceProfile.start(system, needs=needs)
-        if length == 0:
-            return check(root)
-        stack = [(root, 0)]
-        while stack:
-            profile, i = stack.pop()
-            if i == n_actions:
-                continue
-            stack.append((profile, i + 1))
-            child = profile.extend(actions[i])
-            if len(stack) == length:
-                hit = check(child)
-                if hit is not None:
-                    return hit
-            else:
-                stack.append((child, 0))
-        return None
-
-    # Iterative deepening keeps memory linear in depth while preserving the
-    # shortlex scan order; key tables persist so pairs may differ in length.
-    for length in range(depth + 1):
-        hit = scan(length)
-        if hit is not None:
-            return hit
+    seen: list[dict] = [{key(root, ui, senders[ui]): (tokens[ui], ())} for ui in range(nd)]
+    frontier = [root]
+    for length in range(1, depth + 1):
+        level = []
+        for parent in frontier:
+            before = obs[parent.state]
+            for action, moved, unmoved in moves:
+                child = parent.extend(action)
+                after = obs[child.state]
+                # An unmoved domain keeps the parent's key, whose table entry
+                # carries the parent's token (the parent passed its check), so
+                # it clashes exactly when its token changed.
+                stop = nd
+                if after != before:
+                    for u in unmoved:
+                        if after[u] != before[u]:
+                            stop = u
+                            break
+                for u in moved:
+                    if u > stop:
+                        break
+                    k = key(child, u, senders[u])
+                    prior = seen[u].get(k)
+                    if prior is None:
+                        seen[u][k] = (after[u], child.trace)
+                    elif prior[0] != after[u]:
+                        return BoundedVerdict(True, None, domains[u], prior[1], child.trace)
+                if stop < nd:
+                    prior = seen[stop][key(parent, stop, senders[stop])]
+                    return BoundedVerdict(True, None, domains[stop], prior[1], child.trace)
+                if length < depth:
+                    level.append(child)
+        frontier = level
     return BoundedVerdict(False, depth)
 
 

@@ -224,18 +224,21 @@ class System:
     def _reachable_idx(self) -> list[int]:
         """Reachable state indices, BFS layer by layer, declaration order inside a layer."""
         if self._reach is None:
-            seen = {self.state_index(self.initial)}
-            order = [self.state_index(self.initial)]
-            layer = [order[0]]
+            step = self._step
+            s0 = self.state_index(self.initial)
+            seen = bytearray(len(self.states))
+            seen[s0] = 1
+            order, layer = [s0], [s0]
             while layer:
-                nxt = set()
+                nxt = []
                 for s in layer:
-                    for t in self._step[s]:
-                        if t not in seen:
-                            seen.add(t)
-                            nxt.add(t)
-                layer = sorted(nxt)
-                order.extend(layer)
+                    for t in step[s]:
+                        if not seen[t]:
+                            seen[t] = 1
+                            nxt.append(t)
+                nxt.sort()
+                order += nxt
+                layer = nxt
             self._reach = order
         return self._reach
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +130,26 @@ class TestBench:
     def test_bench_systems_are_secure_so_the_closure_runs_fully(self):
         results = run_scaling_bench("p", sizes=(200,), seed=5)
         assert results[0]["secure"]
+
+
+class TestModuleEntry:
+    @staticmethod
+    def nicheck(*argv):
+        # The package's parent directory on the path, as with an uninstalled
+        # checkout, and no other site state.
+        src = str(Path(nc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "nicheck", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_exit_codes_follow_the_contract(self, tmp_path):
+        fig5, fig6 = write_fixture(tmp_path, "fig5"), write_fixture(tmp_path, "fig6")
+        secure = self.nicheck("check", "--notion", "ip", fig6)
+        assert secure.returncode == 0 and "secure" in secure.stdout
+        insecure = self.nicheck("check", "--notion", "ta", fig6)
+        assert insecure.returncode == 1 and json.loads(insecure.stdout)["notion"] == "ta"
+        clear = self.nicheck("bounded", "--notion", "to", "--depth", "5", fig5)
+        assert clear.returncode == 2
+        assert json.loads(clear.stdout)["no_violation_up_to"] == 5
+        missing = self.nicheck("check", "--notion", "p", str(tmp_path / "absent.ni"))
+        assert missing.returncode == 3 and missing.stderr and not missing.stdout

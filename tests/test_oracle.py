@@ -6,7 +6,10 @@ from collections import Counter
 import pytest
 
 import nicheck as nc
+import reference_scan
 from conftest import corpus_params, random_trace
+from nicheck.oracle import _interfering, _profile_key
+from nicheck.semantics import TraceProfile
 
 
 class TestTraceKey:
@@ -88,6 +91,24 @@ class TestBoundedCheck:
             sys.setrecursionlimit(limit)
         assert not out.insecure and out.depth == 300
 
+    def test_each_trace_is_extended_once(self, pcp_demo, monkeypatch):
+        calls = 0
+        extend = TraceProfile.extend
+
+        def counted(profile, action):
+            nonlocal calls
+            calls += 1
+            return extend(profile, action)
+
+        monkeypatch.setattr(TraceProfile, "extend", counted)
+        # 7 actions: 7 + 49 + 343 + 2401 + 16807 non-empty traces to depth 5
+        assert not nc.bounded_check(pcp_demo, "to", 5).insecure
+        assert calls == 19_607
+        calls = 0
+        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
+        assert not nc.bounded_check(s, "ip", 300).insecure
+        assert calls == 300
+
     @staticmethod
     def _reference_ip_scan(s, depth):
         # Shortlex enumeration keyed by the definitional ipurge; the first
@@ -134,6 +155,75 @@ class TestBoundedCheck:
                 if out.insecure:
                     assert nc.check_witness_pair(s, notion, out.domain,
                                                  out.alpha, out.beta)
+
+
+class TestFrontierScanIdentity:
+    """The level-frontier scan gives the very verdicts and witnesses of the
+    per-length depth-first scan it replaced."""
+
+    @staticmethod
+    def systems():
+        yield from (nc.fixture(name) for name in nc.FIXTURE_NAMES)
+        yield nc.augment_final(nc.fixture("fig5"))
+        yield nc.augment_final(nc.fixture("fig8"))
+        yield from (nc.gen_random_system(p) for p in corpus_params(200, seed=7))
+        yield from (nc.gen_random_system(p)
+                    for p in corpus_params(80, seed=11, max_domains=4))
+
+    def test_verdicts_equal_reference_scan(self):
+        moved = unmoved = checks = 0
+        for s in self.systems():
+            depth = 4 if len(s.actions) > 6 else 5
+            for notion in nc.NOTIONS:
+                got = nc.bounded_check(s, notion, depth)
+                want = reference_scan.bounded_check(s, notion, depth)
+                assert repr(got) == repr(want), (s.policy.domains, notion)
+                checks += 1
+                if got.insecure:
+                    # Whether the later trace's last action may interfere
+                    # with the reported domain: only then is its key re-read.
+                    actor = s._dom[s.action_index(got.beta[-1])]
+                    if s._may[actor][s.policy.index(got.domain)]:
+                        moved += 1
+                    else:
+                        unmoved += 1
+        assert checks == 5 * 287
+        assert moved + unmoved >= 400
+        assert moved >= 10 and unmoved >= 10
+
+
+class TestKeySkipInvariance:
+    def test_unreachable_domains_keep_their_keys(self):
+        # An action whose domain may not interfere with u leaves every key of
+        # u as it was; `bounded_check` skips such domains on that ground.
+        rng = random.Random(97)
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems += [nc.gen_random_system(p)
+                    for p in corpus_params(60, seed=97, max_domains=4)]
+        notions = nc.NOTIONS + ("to-tree", "ito-tree")
+        cases = 0
+        for s in systems:
+            nd = len(s.policy.domains)
+            senders = [_interfering(s, u) for u in range(nd)]
+            for _ in range(10):
+                profile = TraceProfile.start(s)
+                for a in random_trace(rng, s, 6):
+                    profile = profile.extend(a)
+                for ai, a in enumerate(s.actions):
+                    child = profile.extend(a)
+                    row = s._may[s._dom[ai]]
+                    for u in range(nd):
+                        if row[u]:
+                            continue
+                        for notion in notions:
+                            before = _profile_key(profile, notion, u, senders[u])
+                            after = _profile_key(child, notion, u, senders[u])
+                            if notion.endswith("-tree"):
+                                assert after is before
+                            else:
+                                assert after == before
+                        cases += 1
+        assert cases >= 1000
 
 
 class TestExactPairChecks:

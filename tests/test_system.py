@@ -121,6 +121,34 @@ class TestReachableStates:
     def test_fig5_reaches_everything(self, fig5):
         assert nc.reachable_states(fig5) == ("s0", "s1", "s2")
 
+    @staticmethod
+    def _set_bfs(s):
+        # The BFS that `System._reachable_idx` replaced: a set per layer,
+        # sorted into declaration order.
+        start = s.state_index(s.initial)
+        seen, order, layer = {start}, [start], [start]
+        while layer:
+            nxt = set()
+            for q in layer:
+                for t in s._step[q]:
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.add(t)
+            layer = sorted(nxt)
+            order.extend(layer)
+        return order
+
+    def test_order_matches_set_based_bfs(self):
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems += [nc.gen_random_system(p) for p in corpus_params(40, seed=37)]
+        rng = random.Random(37)
+        for n in (10, 100, 1000, 10_000):
+            for i in range(3):
+                systems.append(nc.gen_random_system(nc.GenParams(
+                    n, rng.randint(1, 4), rng.randint(1, 3), 2, 0.3, 3700 + i)))
+        for s in systems:
+            assert s._reachable_idx() == self._set_bfs(s)
+
     def test_closed_under_step(self):
         for params in corpus_params(40, seed=31):
             s = nc.gen_random_system(params)
