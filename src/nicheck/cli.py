@@ -207,3 +207,7 @@ def main(argv) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import TraceProfile
+from .semantics import ACT, OBS, TraceProfile, _peek_node
 from .system import System, run
 from .verify import Verdict, _shortest_path
 
@@ -90,6 +90,63 @@ _KEYS = {
 }
 
 
+# The keys of the trace `profile.trace + (action ai,)` for the domains in
+# `moved`, those the action may interfere with, computed from the parent's
+# profile without building the child's.  `after` is the child's observation
+# row.  Each equals `_KEYS[notion](profile.step(ai), u, senders[u])`: purge_u
+# and the position mask of u gain the action, the actor's tview becomes its
+# view followed by the action, and under `ito` the actor's ftview becomes that
+# tview followed by the observation after it.  Under `ta` a tree that is not
+# consed yet is stood in for by its lookup key (`_last_ta`).
+def _last_p(profile, ai, moved, senders, after):
+    action = profile.system.actions[ai]
+    purges = profile.purges
+    return [purges[u] + (action,) for u in moved]
+
+
+def _last_ip(profile, ai, moved, senders, after):
+    system = profile.system
+    action = system.actions[ai]
+    masks = profile.ipurge_masks
+    linked = masks[system._dom[ai]]
+    return [profile.masked(masks[u] | linked) + (action,) for u in moved]
+
+
+def _last_ta(profile, ai, moved, senders, after):
+    # The child's tree of u would be the node (u's tree, the actor's tree,
+    # action).  Its lookup key stands in for it while it is not consed.  That
+    # is exact only because the last level conses no node, so no trace of it
+    # can find the node present after another found it absent; the one key
+    # `bounded_check` reads there otherwise is a parent's, consed a level up.
+    system = profile.system
+    vec = profile.ta_vec
+    sent, action = vec[system._dom[ai]], system.actions[ai]
+    return [_peek_node(system, vec[u], sent, action) for u in moved]
+
+
+def _last_to(profile, ai, moved, senders, after):
+    system = profile.system
+    action, d = system.actions[ai], system._dom[ai]
+    purges, tviews = profile.purges, profile.tviews
+    tviews = tviews[:d] + (profile.views[d] + ((ACT, action),),) + tviews[d + 1:]
+    return [(purges[u] + (action,), tviews[u], *map(tviews.__getitem__, senders[u]))
+            for u in moved]
+
+
+def _last_ito(profile, ai, moved, senders, after):
+    system = profile.system
+    action, d = system.actions[ai], system._dom[ai]
+    purges, tviews, ftviews = profile.purges, profile.tviews, profile.ftviews
+    acted = profile.views[d] + ((ACT, action),)
+    tviews = tviews[:d] + (acted,) + tviews[d + 1:]
+    ftviews = ftviews[:d] + (acted + ((OBS, after[d]),),) + ftviews[d + 1:]
+    return [(purges[u] + (action,), tviews[u], *map(ftviews.__getitem__, senders[u]))
+            for u in moved]
+
+
+_LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta, "to": _last_to, "ito": _last_ito}
+
+
 def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
     try:
         key = _KEYS[notion]
@@ -146,13 +203,17 @@ def bounded_check(
     violating one and verdicts are reproducible.  Raises `BudgetError` when
     more than `budget` traces would be enumerated.
 
-    Each length is built from the profiles of the previous one, extending
-    each by every action in declaration order, so every trace is extended
-    exactly once; the last level is not kept, so at most |A|^(depth-1)
-    profiles are held, a number the budget already bounds.  A trace's key is
-    computed and looked up only for the domains its last action may interfere
-    with; every other domain keeps its parent's key and, the parent having
-    passed, clashes exactly when its observation changed.
+    Each length below the depth is built from the profiles of the previous
+    one, extending each by every action in declaration order, so every trace
+    shorter than the depth is stepped exactly once, and at most
+    |A|^(depth-1) profiles are held, a number the budget already bounds.  The
+    last level is never extended, so its traces get no profile: their keys
+    are computed straight from the parent's profile (`_LAST_KEYS`), and a
+    trace tuple is built only for a key class's representative or a
+    reported pair.  A trace's key is computed and looked up only for the
+    domains its last action may interfere with; every other domain keeps its
+    parent's key and, the parent having passed, clashes exactly when its
+    observation changed.
     """
     system.require_valid()
     if notion not in NOTIONS:
@@ -170,14 +231,14 @@ def bounded_check(
     domains = system.policy.domains
     nd = len(domains)
     senders = [_interfering(system, ui) for ui in range(nd)]
-    may, dom, obs = system._may, system._dom, system._obs
-    key = _KEYS[notion]
+    may, dom, obs, step = system._may, system._dom, system._obs, system._step
+    key, last_keys = _KEYS[notion], _LAST_KEYS[notion]
     # Per action: the domains whose key it may change (those its domain may
     # interfere with) and those whose key it leaves as the parent's.
     moves = []
     for ai, action in enumerate(system.actions):
         row = may[dom[ai]]
-        moves.append((action, [u for u in range(nd) if row[u]],
+        moves.append((ai, action, [u for u in range(nd) if row[u]],
                       [u for u in range(nd) if not row[u]]))
 
     root = TraceProfile.start(system, needs=_PROFILE_NEEDS[notion])
@@ -186,12 +247,13 @@ def bounded_check(
     seen: list[dict] = [{key(root, ui, senders[ui]): (tokens[ui], ())} for ui in range(nd)]
     frontier = [root]
     for length in range(1, depth + 1):
+        last = length == depth
         level = []
         for parent in frontier:
             before = obs[parent.state]
-            for action, moved, unmoved in moves:
-                child = parent.extend(action)
-                after = obs[child.state]
+            targets = step[parent.state]
+            for ai, action, moved, unmoved in moves:
+                after = obs[targets[ai]]
                 # An unmoved domain keeps the parent's key, whose table entry
                 # carries the parent's token (the parent passed its check), so
                 # it clashes exactly when its token changed.
@@ -201,20 +263,29 @@ def bounded_check(
                         if after[u] != before[u]:
                             stop = u
                             break
-                for u in moved:
+                if last:
+                    trace = None
+                    keys = last_keys(parent, ai, moved, senders, after)
+                else:
+                    child = parent.step(ai)
+                    level.append(child)
+                    trace = child.trace
+                    keys = [key(child, u, senders[u]) for u in moved]
+                for u, k in zip(moved, keys):
                     if u > stop:
                         break
-                    k = key(child, u, senders[u])
                     prior = seen[u].get(k)
                     if prior is None:
-                        seen[u][k] = (after[u], child.trace)
+                        if trace is None:
+                            trace = parent.trace + (action,)
+                        seen[u][k] = (after[u], trace)
                     elif prior[0] != after[u]:
-                        return BoundedVerdict(True, None, domains[u], prior[1], child.trace)
+                        return BoundedVerdict(True, None, domains[u], prior[1],
+                                              parent.trace + (action,))
                 if stop < nd:
                     prior = seen[stop][key(parent, stop, senders[stop])]
-                    return BoundedVerdict(True, None, domains[stop], prior[1], child.trace)
-                if length < depth:
-                    level.append(child)
+                    return BoundedVerdict(True, None, domains[stop], prior[1],
+                                          parent.trace + (action,))
         frontier = level
     return BoundedVerdict(False, depth)
 

@@ -197,6 +197,17 @@ def _node(system: System, left: InfoTree, mid: InfoTree, action: str) -> InfoTre
     return node
 
 
+def _peek_node(system: System, left: InfoTree, mid: InfoTree, action: str):
+    """The consed node `_node` would return if it exists, else its table key;
+    nothing is added to the table.
+
+    The key equals only the key of a structurally equal tree and never a
+    node, so it stands in for the node exactly while the node is not created.
+    """
+    key = ("N", id(left), id(mid), action)
+    return system._trees.get(key, key)
+
+
 def _eps_vector(system: System) -> tuple[InfoTree, ...]:
     e = _leaf(system, EPSILON)
     return (e,) * len(system.policy.domains)
@@ -272,8 +283,13 @@ _NEED_KEYS = ("purge", "ipurge", "views", "tview", "ftview", "ta", "to", "ito")
 
 
 class TraceProfile:
-    """All per-domain trace semantics of one action prefix, extendable by one
-    action in O(|D|).
+    """All per-domain trace semantics of one action prefix.
+
+    `step(ai)` extends it by the action of index ai (`extend` by its name) in
+    O(|D|) tuple work, plus copies of the trace and of the views that grow:
+    the actor's and those of domains whose observation changed.  A caller
+    that needs only some keys of the extended trace can read them off this
+    profile instead, as the bounded scan does for its last level.
 
     `needs` selects the tracked components; untracked ones stay None.  The
     incremental recurrences here mirror the definitional functions above and
@@ -334,8 +350,13 @@ class TraceProfile:
         )
 
     def extend(self, action: str) -> "TraceProfile":
+        """The profile of the trace extended by the named action."""
+        return self.step(self.system.action_index(action))
+
+    def step(self, ai: int) -> "TraceProfile":
+        """The profile of the trace extended by the action of index `ai`."""
         sys = self.system
-        ai = sys.action_index(action)
+        action = sys.actions[ai]
         d = sys._dom[ai]
         row = sys._may[d]
         state = sys._step[self.state][ai]
@@ -355,10 +376,17 @@ class TraceProfile:
         views = old_views
         if old_views is not None:
             # The actor's view with its action appended is also its new tview.
+            # Every view ends in its domain's current token, so `_absorb`
+            # grows only the actor's view and those whose token changed.
             acted = old_views[d] + ((ACT, action),)
             views = list(old_views)
-            views[d] = acted
-            views = tuple([_absorb(w, (OBS, o)) for w, o in zip(views, obs)])
+            views[d] = acted + ((OBS, obs[d]),)
+            before = sys._obs[self.state]
+            if obs != before:
+                for v, o in enumerate(obs):
+                    if o != before[v] and v != d:
+                        views[v] = old_views[v] + ((OBS, o),)
+            views = tuple(views)
 
         tviews = self.tviews
         if tviews is not None:
@@ -371,10 +399,10 @@ class TraceProfile:
         ta_vec = self.ta_vec
         if ta_vec is not None:
             transmitted = ta_vec[d]
-            ta_vec = tuple(
+            ta_vec = tuple([
                 _node(sys, ta_vec[v], transmitted, action) if row[v] else ta_vec[v]
                 for v in range(nd)
-            )
+            ])
 
         to_vec = self.to_vec
         if to_vec is not None:
@@ -406,5 +434,8 @@ class TraceProfile:
     def ipurge(self, ui: int) -> tuple[str, ...]:
         """The intransitive purge of the trace for domain index `ui`; equal to
         the module-level `ipurge`."""
-        mask = self.ipurge_masks[ui]
+        return self.masked(self.ipurge_masks[ui])
+
+    def masked(self, mask: int) -> tuple[str, ...]:
+        """The actions of the trace at the positions set in `mask`."""
         return tuple([a for i, a in enumerate(self.trace) if mask >> i & 1])

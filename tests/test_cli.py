@@ -134,12 +134,12 @@ class TestBench:
 
 class TestModuleEntry:
     @staticmethod
-    def nicheck(*argv):
+    def nicheck(*argv, module="nicheck"):
         # The package's parent directory on the path, as with an uninstalled
         # checkout, and no other site state.
         src = str(Path(nc.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-m", "nicheck", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
 
     def test_exit_codes_follow_the_contract(self, tmp_path):
@@ -152,4 +152,11 @@ class TestModuleEntry:
         assert clear.returncode == 2
         assert json.loads(clear.stdout)["no_violation_up_to"] == 5
         missing = self.nicheck("check", "--notion", "p", str(tmp_path / "absent.ni"))
+        assert missing.returncode == 3 and missing.stderr and not missing.stdout
+
+    def test_cli_module_runs_the_cli(self, tmp_path):
+        # Running the module must not just define `main` and exit 0, which
+        # would read as "secure".
+        missing = self.nicheck("check", "--notion", "p", str(tmp_path / "absent.ni"),
+                               module="nicheck.cli")
         assert missing.returncode == 3 and missing.stderr and not missing.stdout

@@ -8,8 +8,8 @@ import pytest
 import nicheck as nc
 import reference_scan
 from conftest import corpus_params, random_trace
-from nicheck.oracle import _interfering, _profile_key
-from nicheck.semantics import TraceProfile
+from nicheck.oracle import _interfering, _LAST_KEYS, _profile_key, _PROFILE_NEEDS
+from nicheck.semantics import InfoTree, TraceProfile
 
 
 class TestTraceKey:
@@ -93,21 +93,29 @@ class TestBoundedCheck:
 
     def test_each_trace_is_extended_once(self, pcp_demo, monkeypatch):
         calls = 0
-        extend = TraceProfile.extend
+        step = TraceProfile.step
 
-        def counted(profile, action):
+        def counted(profile, ai):
             nonlocal calls
             calls += 1
-            return extend(profile, action)
+            return step(profile, ai)
 
-        monkeypatch.setattr(TraceProfile, "extend", counted)
-        # 7 actions: 7 + 49 + 343 + 2401 + 16807 non-empty traces to depth 5
+        monkeypatch.setattr(TraceProfile, "step", counted)
+        # 7 actions: 7 + 49 + 343 + 2401 non-empty traces shorter than depth
+        # 5; the 16807 traces of the last level are keyed from their parents.
         assert not nc.bounded_check(pcp_demo, "to", 5).insecure
-        assert calls == 19_607
+        assert calls == 2_800
         calls = 0
         s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
         assert not nc.bounded_check(s, "ip", 300).insecure
-        assert calls == 300
+        assert calls == 299
+
+    def test_last_level_conses_no_tree_nodes(self):
+        # Only traces shorter than the depth are stepped, so only their trees
+        # are consed; stepping the last level too would leave 23 216 nodes.
+        s = nc.fixture("pcp_demo")
+        assert not nc.bounded_check(s, "ta", 5).insecure
+        assert len(s._trees) == 3_265
 
     @staticmethod
     def _reference_ip_scan(s, depth):
@@ -190,6 +198,67 @@ class TestFrontierScanIdentity:
         assert checks == 5 * 287
         assert moved + unmoved >= 400
         assert moved >= 10 and unmoved >= 10
+
+
+class TestLastLevelKeys:
+    """The keys `bounded_check` computes for the last level straight from the
+    parent profile split traces into the classes that the keys of the stepped
+    children do, also against the keys of shorter traces."""
+
+    @staticmethod
+    def systems():
+        yield from (nc.fixture(name) for name in nc.FIXTURE_NAMES)
+        yield nc.augment_final(nc.fixture("fig5"))
+        yield nc.augment_final(nc.fixture("fig8"))
+        yield from (nc.gen_random_system(p)
+                    for p in corpus_params(60, seed=101, max_domains=4))
+
+    @staticmethod
+    def classes(s, notion, depth):
+        """(domain, key from the parent, key of the stepped child, True) for
+        every trace of length `depth`, and (domain, key, key, False) for every
+        shorter one."""
+        nd = len(s.policy.domains)
+        senders = [_interfering(s, u) for u in range(nd)]
+        frontier = [TraceProfile.start(s, needs=_PROFILE_NEEDS[notion])]
+        rows = []
+        for length in range(depth):
+            for profile in frontier:
+                for u in range(nd):
+                    k = _profile_key(profile, notion, u, senders[u])
+                    rows.append((u, k, k, False))
+            if length < depth - 1:
+                frontier = [p.step(ai) for p in frontier for ai in range(len(s.actions))]
+        # All parent-made keys come first: stepping a child conses the very
+        # tree nodes whose absence the `ta` lookup tuple stands for.
+        last = []
+        for profile in frontier:
+            for ai in range(len(s.actions)):
+                after = s._obs[s._step[profile.state][ai]]
+                moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
+                keys = _LAST_KEYS[notion](profile, ai, moved, senders, after)
+                last.append((profile, ai, moved, keys))
+        for profile, ai, moved, keys in last:
+            child = profile.step(ai)
+            for u, k in zip(moved, keys):
+                rows.append((u, k, _profile_key(child, notion, u, senders[u]), True))
+        return rows
+
+    def test_last_keys_partition_like_stepped_children(self):
+        consed = probes = 0
+        for s in self.systems():
+            depth = 4 if len(s.actions) <= 4 else 3
+            for notion in nc.NOTIONS:
+                forward, backward = {}, {}
+                for u, k, ref, last in self.classes(s, notion, depth):
+                    assert forward.setdefault((u, k), ref) == ref, notion
+                    assert backward.setdefault((u, ref), k) == k, notion
+                    if notion == "ta" and last:
+                        if isinstance(k, InfoTree):
+                            consed += 1
+                        else:
+                            probes += 1
+        assert consed >= 1000 and probes >= 1000
 
 
 class TestKeySkipInvariance:
