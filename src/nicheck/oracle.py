@@ -13,7 +13,7 @@ from collections import deque
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import ACT, OBS, TraceProfile, _peek_node
+from .semantics import ACT, OBS, TraceProfile, _peek_node, ito, to
 from .system import System, run
 from .verify import Verdict, _shortest_path
 
@@ -48,9 +48,9 @@ _PROFILE_NEEDS = {
     "to": ("purge", "tview"),
     # purge_u, tview_u, then ftview_v for every other v that may interfere with u
     "ito": ("purge", "tview", "ftview"),
-    # tree-valued keys for the partition comparisons
-    "to-tree": ("to",),
-    "ito-tree": ("ito",),
+    # tree-valued keys for the partition comparisons, built from the trace
+    "to-tree": (),
+    "ito-tree": (),
 }
 
 
@@ -71,7 +71,7 @@ def _interfering(system: System, ui: int) -> list[int]:
 # u's last action.
 #
 # Every key of u changes only at actions whose domain may interfere with u:
-# purge_u, the position mask behind ipurge_u and the tree vectors move only
+# purge_u, the position mask behind ipurge_u and the trees move only
 # where the policy row of the acting domain holds u, and the actor's tview or
 # ftview is part of u's key only when the actor is u or one of its senders.
 # `bounded_check` skips the other domains on the strength of this.
@@ -85,8 +85,10 @@ _KEYS = {
     "ito": lambda profile, ui, senders: (
         profile.purges[ui], profile.tviews[ui], *map(profile.ftviews.__getitem__, senders)
     ),
-    "to-tree": lambda profile, ui, senders: profile.to_vec[ui],
-    "ito-tree": lambda profile, ui, senders: profile.ito_vec[ui],
+    "to-tree": lambda profile, ui, senders: to(
+        profile.system, profile.system.policy.domains[ui], profile.trace),
+    "ito-tree": lambda profile, ui, senders: ito(
+        profile.system, profile.system.policy.domains[ui], profile.trace),
 }
 
 
@@ -291,6 +293,8 @@ def bounded_check(
 
 
 def _pair_witness(system: System, parents, pair) -> tuple:
+    """The two action sequences that lead from a root of `parents` (a pair
+    mapped to None) to `pair`, and that root."""
     alpha: list[str] = []
     beta: list[str] = []
     names = system.actions
@@ -303,7 +307,7 @@ def _pair_witness(system: System, parents, pair) -> tuple:
             alpha.append(names[xa])
         if ya is not None:
             beta.append(names[ya])
-    return tuple(reversed(alpha)), tuple(reversed(beta))
+    return tuple(reversed(alpha)), tuple(reversed(beta)), pair
 
 
 def exact_pair_check_p(system: System) -> Verdict:
@@ -331,7 +335,7 @@ def exact_pair_check_p(system: System) -> Verdict:
                 if child not in parents:
                     parents[child] = (pair, xa, ya)
                     if obs[ns][u] != obs[nt][u]:
-                        alpha, beta = _pair_witness(system, parents, child)
+                        alpha, beta, _ = _pair_witness(system, parents, child)
                         return Verdict(False, uname, alpha, beta)
                     queue.append(child)
     return Verdict(True)
@@ -352,43 +356,33 @@ def exact_pair_check_ip(system: System) -> Verdict:
             if may[v][u]:
                 continue
             sync = [a for a in all_actions if not may[v][dom[a]]]
+            # Each seed pair is a root; `seeds` keeps the state and the
+            # inserted action it came from.
             parents: dict = {}
+            seeds: dict = {}
             queue = deque()
             for q in reach:
                 for a in system._domain_actions[v]:
                     child = (step[q][a], q)
                     if child not in parents:
-                        parents[child] = ((q, a), None)  # seed marker
+                        parents[child] = None
+                        seeds[child] = (q, a)
                         queue.append(child)
-            hit = None
-            while queue and hit is None:
+            while queue:
                 pair = queue.popleft()
                 s, t = pair
                 if obs[s][u] != obs[t][u]:
-                    hit = pair
-                    break
+                    suffix_a, suffix_b, root = _pair_witness(system, parents, pair)
+                    q, a0 = seeds[root]
+                    names = system.actions
+                    prefix = tuple(names[a] for a in _shortest_path(system, q))
+                    return Verdict(False, uname, prefix + (names[a0],) + suffix_a,
+                                   prefix + suffix_b)
                 for a in sync:
                     child = (step[s][a], step[t][a])
                     if child not in parents:
                         parents[child] = (pair, a, a)
                         queue.append(child)
-            if hit is not None:
-                suffix_a: list[str] = []
-                suffix_b: list[str] = []
-                names = system.actions
-                pair = hit
-                while True:
-                    entry = parents[pair]
-                    if entry[1] is None:  # seed
-                        (q, a0), _ = entry
-                        break
-                    pair, xa, ya = entry
-                    suffix_a.append(names[xa])
-                    suffix_b.append(names[ya])
-                prefix = tuple(names[a] for a in _shortest_path(system, q))
-                alpha = prefix + (names[a0],) + tuple(reversed(suffix_a))
-                beta = prefix + tuple(reversed(suffix_b))
-                return Verdict(False, uname, alpha, beta)
     return Verdict(True)
 
 

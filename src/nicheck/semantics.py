@@ -50,19 +50,12 @@ def purge(system: System, u: str, alpha: Iterable[str]) -> tuple[str, ...]:
 
 def sources(system: System, alpha: Iterable[str], u: str) -> frozenset[str]:
     """Domains from which a policy-permitted chain of interferences inside
-    `alpha` can reach `u`.
-
-    Defined from the right: a domain joins the set when one of its actions can
-    influence a domain already in the set at a later position.
+    `alpha` can reach `u`: `u` itself and the domains of the actions that
+    `ipurge` keeps.
     """
     ui, idxs = _indices(system, u, alpha)
-    may, dom = system._may, system._dom
-    cur = {ui}
-    for a in reversed(idxs):
-        d = dom[a]
-        if any(may[d][v] for v in cur):
-            cur.add(d)
-    return frozenset(system.policy.domains[d] for d in cur)
+    dom, names = system._dom, system.policy.domains
+    return frozenset([names[ui]] + [names[dom[a]] for a in _ipurge_idx(system, ui, idxs)])
 
 
 def _ipurge_idx(system: System, ui: int, idxs: list[int]) -> list[int]:
@@ -213,11 +206,6 @@ def _eps_vector(system: System) -> tuple[InfoTree, ...]:
     return (e,) * len(system.policy.domains)
 
 
-def _obs_leaf_vector(system: System) -> tuple[InfoTree, ...]:
-    s0 = system.state_index(system.initial)
-    return tuple(_leaf(system, (OBS, t)) for t in system._obs[s0])
-
-
 def ta(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     """Maximal information `u` may hold about past actions: every action of an
     interfering domain adds that domain's own maximal information at the time,
@@ -235,22 +223,37 @@ def ta(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     return vec[ui]
 
 
+def _transmitted(system: System, u: str, alpha: Iterable[str], immediate: bool) -> InfoTree:
+    # From u's initial observation, every action of a domain d that may
+    # interfere with u adds d's view of the prefix before the action, or,
+    # when `immediate` and d is not u, of the prefix including it.
+    ui, idxs = _indices(system, u, alpha)
+    may, dom, names = system._may, system._dom, system.actions
+    domains = system.policy.domains
+    alpha = [names[a] for a in idxs]
+    tree = _leaf(system, (OBS, system._obs[system.state_index(system.initial)][ui]))
+    for i, a in enumerate(idxs):
+        d = dom[a]
+        if may[d][ui]:
+            seen = alpha[: i + 1] if immediate and d != ui else alpha[:i]
+            sent = _leaf(system, ("v", view(system, domains[d], seen)))
+            tree = _node(system, tree, sent, names[a])
+    return tree
+
+
 def to(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     """Like `ta`, but an action transmits only what its domain has actually
-    observed so far: its view before the action."""
-    profile = TraceProfile.start(system, needs=("views", "to"))
-    for a in alpha:
-        profile = profile.extend(a)
-    return profile.to_vec[system.policy.index(u)]
+    observed so far: its view before the action.  The tree starts from `u`'s
+    initial observation."""
+    return _transmitted(system, u, alpha, immediate=False)
 
 
 def ito(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     """Like `to`, except an action of another domain also transmits the
-    observation that domain makes immediately after the action."""
-    profile = TraceProfile.start(system, needs=("views", "ito"))
-    for a in alpha:
-        profile = profile.extend(a)
-    return profile.ito_vec[system.policy.index(u)]
+    observation that domain makes immediately after the action: its view
+    including the action.  At `u`'s own actions both trees hold `u`'s view
+    before the action."""
+    return _transmitted(system, u, alpha, immediate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +282,12 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # Incremental per-prefix profile (drives the enumeration oracles)
 # ---------------------------------------------------------------------------
 
-_NEED_KEYS = ("purge", "ipurge", "views", "tview", "ftview", "ta", "to", "ito")
+_NEED_KEYS = ("purge", "ipurge", "views", "tview", "ftview", "ta")
 
 
 class TraceProfile:
-    """All per-domain trace semantics of one action prefix.
+    """The per-domain trace semantics that the bounded keys read, for one
+    action prefix.
 
     `step(ai)` extends it by the action of index ai (`extend` by its name) in
     O(|D|) tuple work, plus copies of the trace and of the views that grow:
@@ -291,9 +295,12 @@ class TraceProfile:
     that needs only some keys of the extended trace can read them off this
     profile instead, as the bounded scan does for its last level.
 
-    `needs` selects the tracked components; untracked ones stay None.  The
-    incremental recurrences here mirror the definitional functions above and
-    the two are cross-checked in the test suite.
+    `needs` selects the tracked components; untracked ones stay None.  Each
+    is an incremental recurrence for one definitional function above
+    (`purge`, `ipurge`, `view`, `tview`, `ftview`, `ta`), and the test suite
+    checks each against its function.  The `to`/`ito` trees are not tracked:
+    only their own definitional walk builds them, so the flattened keys that
+    stand in for them are compared against an independent definition.
 
     The `ipurge` component keeps, per domain u, an int bitmask of the trace
     positions that a permitted chain links to u; `ipurge(ui)` reads the
@@ -306,11 +313,11 @@ class TraceProfile:
     __slots__ = (
         "system", "state", "trace",
         "purges", "ipurge_masks", "views", "tviews", "ftviews",
-        "ta_vec", "to_vec", "ito_vec",
+        "ta_vec",
     )
 
     def __init__(self, system, state, trace, purges, ipurge_masks, views, tviews,
-                 ftviews, ta_vec, to_vec, ito_vec):
+                 ftviews, ta_vec):
         self.system = system
         self.state = state
         self.trace = trace
@@ -320,8 +327,6 @@ class TraceProfile:
         self.tviews = tviews
         self.ftviews = ftviews
         self.ta_vec = ta_vec
-        self.to_vec = to_vec
-        self.ito_vec = ito_vec
 
     @classmethod
     def start(cls, system: System, needs: Iterable[str] = _NEED_KEYS) -> "TraceProfile":
@@ -330,7 +335,7 @@ class TraceProfile:
         unknown = needs - frozenset(_NEED_KEYS)
         if unknown:
             raise InputError(f"unknown profile components {sorted(unknown)}")
-        if needs & {"views", "tview", "ftview", "to", "ito"}:
+        if needs & {"views", "tview", "ftview"}:
             needs = needs | {"views"}
         nd = len(system.policy.domains)
         s0 = system.state_index(system.initial)
@@ -345,8 +350,6 @@ class TraceProfile:
             ((),) * nd if "tview" in needs else None,
             tuple(((OBS, t),) for t in obs0) if "ftview" in needs else None,
             _eps_vector(system) if "ta" in needs else None,
-            _obs_leaf_vector(system) if "to" in needs else None,
-            _obs_leaf_vector(system) if "ito" in needs else None,
         )
 
     def extend(self, action: str) -> "TraceProfile":
@@ -361,7 +364,6 @@ class TraceProfile:
         row = sys._may[d]
         state = sys._step[self.state][ai]
         obs = sys._obs[state]
-        nd = len(row)
 
         purges = self.purges
         if purges is not None:
@@ -372,21 +374,20 @@ class TraceProfile:
             linked = masks[d] | 1 << len(self.trace)
             masks = tuple([m | linked if r else m for m, r in zip(masks, row)])
 
-        old_views = self.views
-        views = old_views
-        if old_views is not None:
+        views = self.views
+        if views is not None:
             # The actor's view with its action appended is also its new tview.
             # Every view ends in its domain's current token, so `_absorb`
             # grows only the actor's view and those whose token changed.
-            acted = old_views[d] + ((ACT, action),)
-            views = list(old_views)
-            views[d] = acted + ((OBS, obs[d]),)
+            acted = views[d] + ((ACT, action),)
+            grown = list(views)
+            grown[d] = acted + ((OBS, obs[d]),)
             before = sys._obs[self.state]
             if obs != before:
                 for v, o in enumerate(obs):
                     if o != before[v] and v != d:
-                        views[v] = old_views[v] + ((OBS, o),)
-            views = tuple(views)
+                        grown[v] = views[v] + ((OBS, o),)
+            views = tuple(grown)
 
         tviews = self.tviews
         if tviews is not None:
@@ -399,36 +400,12 @@ class TraceProfile:
         ta_vec = self.ta_vec
         if ta_vec is not None:
             transmitted = ta_vec[d]
-            ta_vec = tuple([
-                _node(sys, ta_vec[v], transmitted, action) if row[v] else ta_vec[v]
-                for v in range(nd)
-            ])
-
-        to_vec = self.to_vec
-        if to_vec is not None:
-            sent = _leaf(sys, ("v", old_views[d]))
-            to_vec = tuple(
-                _node(sys, to_vec[v], sent, action) if row[v] else to_vec[v]
-                for v in range(nd)
-            )
-
-        ito_vec = self.ito_vec
-        if ito_vec is not None:
-            # The actor itself transmits its pre-action view; every other
-            # permitted observer additionally receives the actor's fresh
-            # post-action observation, i.e. the post-action view.
-            sent_old = _leaf(sys, ("v", old_views[d]))
-            sent_new = _leaf(sys, ("v", views[d]))
-            ito_vec = tuple(
-                _node(sys, ito_vec[v], sent_old if v == d else sent_new, action)
-                if row[v]
-                else ito_vec[v]
-                for v in range(nd)
-            )
+            ta_vec = tuple([_node(sys, t, transmitted, action) if r else t
+                            for t, r in zip(ta_vec, row)])
 
         return TraceProfile(
             sys, state, self.trace + (action,),
-            purges, masks, views, tviews, ftviews, ta_vec, to_vec, ito_vec,
+            purges, masks, views, tviews, ftviews, ta_vec,
         )
 
     def ipurge(self, ui: int) -> tuple[str, ...]:

@@ -45,6 +45,21 @@ def direct_leak():
 
 
 @pytest.fixture(scope="session")
+def delayed_leak():
+    """H's action changes no observation of L; L's own action then reveals
+    whether it happened, so the runs (l) and (h, l) differ at L only after an
+    action that every key of L records."""
+    return nc.System(
+        nc.Policy(("H", "L")),
+        ("s0", "s1", "s2"),
+        "s0",
+        {"h": "H", "l": "L"},
+        {("s0", "h"): "s1", ("s1", "l"): "s2"},
+        {("s2", "L"): "1"},
+    )
+
+
+@pytest.fixture(scope="session")
 def counting_machine():
     """Transitive two-level policy; every observation is a parity of counts of
     the actions visible to the observer, hence secure under every notion."""

@@ -199,6 +199,34 @@ class TestFrontierScanIdentity:
         assert moved + unmoved >= 400
         assert moved >= 10 and unmoved >= 10
 
+    def test_violations_on_the_last_level_equal_reference_scan(self, delayed_leak):
+        # Rerun every violation at the length of its later trace, so that
+        # trace is keyed from its parent on the last level, where a key that
+        # is too fine misses an earlier, shorter trace of its class.  The
+        # random corpora leak mostly through observations that change at an
+        # action the observer's keys ignore, so `delayed_leak` adds, for each
+        # notion, a pair told apart only after the observer's own action.
+        reruns = shorter = 0
+        moved = set()
+        for s in (*self.systems(), delayed_leak):
+            depth = 4 if len(s.actions) > 6 else 5
+            for notion in nc.NOTIONS:
+                first = reference_scan.bounded_check(s, notion, depth)
+                if not first.insecure:
+                    continue
+                last = len(first.beta)
+                got = nc.bounded_check(s, notion, last)
+                want = reference_scan.bounded_check(s, notion, last)
+                assert repr(got) == repr(want) == repr(first), (s.policy.domains, notion)
+                reruns += 1
+                if len(first.alpha) < last:
+                    shorter += 1
+                    actor = s._dom[s.action_index(first.beta[-1])]
+                    if s._may[actor][s.policy.index(first.domain)]:
+                        moved.add(notion)
+        assert reruns >= 400 and shorter >= 400
+        assert moved == set(nc.NOTIONS)
+
 
 class TestLastLevelKeys:
     """The keys `bounded_check` computes for the last level straight from the

@@ -161,6 +161,12 @@ class TestInfoTrees:
         assert nc.to(fig8, "L", ("h", "d")) is nc.to(fig8, "L", ("d",))
         assert nc.ito(fig8, "L", ("h", "d")) is not nc.ito(fig8, "L", ("d",))
 
+    def test_ito_actor_sends_its_view_before_the_action(self, fig8):
+        # At its own action the downgrader transmits its view before `d`;
+        # the observer L receives its view after `d`, the fresh bit included.
+        assert nc.ito(fig8, "D", ("h", "d")).mid.payload == ("v", (O("0"),))
+        assert nc.ito(fig8, "L", ("h", "d")).mid.payload == ("v", (O("0"), A("d"), O("1")))
+
 
 class TestSwappable:
     def test_independent_domains_swappable(self):
@@ -229,8 +235,6 @@ class TestTraceProfile:
                 assert prof.purges[i] == nc.purge(s, d, alpha)
                 assert prof.ipurge(i) == nc.ipurge(s, d, alpha)
                 assert prof.ta_vec[i] is nc.ta(s, d, alpha)
-                assert prof.to_vec[i] is nc.to(s, d, alpha)
-                assert prof.ito_vec[i] is nc.ito(s, d, alpha)
 
     def test_untracked_components_stay_none(self, fig5):
         prof = TraceProfile.start(fig5, needs=("ta",)).extend("h")
@@ -239,5 +243,7 @@ class TestTraceProfile:
         assert prof.ipurge_masks is None
 
     def test_unknown_component_rejected(self, fig5):
-        with pytest.raises(nc.InputError):
-            TraceProfile.start(fig5, needs=("nonsense",))
+        # The to/ito trees are built by their definitional walk alone.
+        for needs in (("nonsense",), ("to",), ("ito",)):
+            with pytest.raises(nc.InputError):
+                TraceProfile.start(fig5, needs=needs)
