@@ -118,10 +118,7 @@ def parse_system(text: str) -> System:
     system = System(
         Policy(domains, edges), states, initial, actions, transitions, observations
     )
-    if system.diagnostics:
-        raise InputError(
-            f"invalid system: {system.diagnostics[0]}", system.diagnostics
-        )
+    system.require_valid()
     return system
 
 

@@ -8,14 +8,15 @@ depth; its verdict says exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import BudgetError, InputError
 from .semantics import ACT, OBS, TraceProfile, _peek_node, ito, to
 from .system import System, run
-from .verify import Verdict, _shortest_path
+from .verify import Verdict
 
 NOTIONS = ("p", "ip", "ta", "to", "ito")
 
@@ -75,16 +76,18 @@ def _interfering(system: System, ui: int) -> list[int]:
 # where the policy row of the acting domain holds u, and the actor's tview or
 # ftview is part of u's key only when the actor is u or one of its senders.
 # `bounded_check` skips the other domains on the strength of this.
+def _transmitted_key(immediate, profile, ui, senders):
+    # purge_u, tview_u, then each sender's tview, or its ftview when `immediate`
+    sent = profile.ftviews if immediate else profile.tviews
+    return (profile.purges[ui], profile.tviews[ui], *map(sent.__getitem__, senders))
+
+
 _KEYS = {
     "p": lambda profile, ui, senders: profile.purges[ui],
     "ip": lambda profile, ui, senders: profile.ipurge(ui),
     "ta": lambda profile, ui, senders: profile.ta_vec[ui],
-    "to": lambda profile, ui, senders: (
-        profile.purges[ui], profile.tviews[ui], *map(profile.tviews.__getitem__, senders)
-    ),
-    "ito": lambda profile, ui, senders: (
-        profile.purges[ui], profile.tviews[ui], *map(profile.ftviews.__getitem__, senders)
-    ),
+    "to": partial(_transmitted_key, False),
+    "ito": partial(_transmitted_key, True),
     "to-tree": lambda profile, ui, senders: to(
         profile.system, profile.system.policy.domains[ui], profile.trace),
     "ito-tree": lambda profile, ui, senders: ito(
@@ -126,27 +129,23 @@ def _last_ta(profile, ai, moved, senders, after):
     return [_peek_node(system, vec[u], sent, action) for u in moved]
 
 
-def _last_to(profile, ai, moved, senders, after):
+def _last_transmitted(immediate, profile, ai, moved, senders, after):
     system = profile.system
     action, d = system.actions[ai], system._dom[ai]
-    purges, tviews = profile.purges, profile.tviews
-    tviews = tviews[:d] + (profile.views[d] + ((ACT, action),),) + tviews[d + 1:]
-    return [(purges[u] + (action,), tviews[u], *map(tviews.__getitem__, senders[u]))
-            for u in moved]
-
-
-def _last_ito(profile, ai, moved, senders, after):
-    system = profile.system
-    action, d = system.actions[ai], system._dom[ai]
-    purges, tviews, ftviews = profile.purges, profile.tviews, profile.ftviews
     acted = profile.views[d] + ((ACT, action),)
-    tviews = tviews[:d] + (acted,) + tviews[d + 1:]
-    ftviews = ftviews[:d] + (acted + ((OBS, after[d]),),) + ftviews[d + 1:]
-    return [(purges[u] + (action,), tviews[u], *map(ftviews.__getitem__, senders[u]))
+    tviews = profile.tviews
+    sent = tviews = tviews[:d] + (acted,) + tviews[d + 1:]
+    if immediate:
+        ftviews = profile.ftviews
+        sent = ftviews[:d] + (acted + ((OBS, after[d]),),) + ftviews[d + 1:]
+    purges = profile.purges
+    return [(purges[u] + (action,), tviews[u], *map(sent.__getitem__, senders[u]))
             for u in moved]
 
 
-_LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta, "to": _last_to, "ito": _last_ito}
+_LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta,
+              "to": partial(_last_transmitted, False),
+              "ito": partial(_last_transmitted, True)}
 
 
 def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
@@ -310,34 +309,48 @@ def _pair_witness(system: System, parents, pair) -> tuple:
     return tuple(reversed(alpha)), tuple(reversed(beta)), pair
 
 
+def _first_split(system: System, u: int, parents: dict, moves: list) -> tuple | None:
+    """Breadth-first search of a pair graph from the roots already in
+    `parents` (each mapped to None): the first pair in discovery order whose
+    two states `u` observes differently, or None.
+
+    Each move (x, y) steps the left state by action x and the right one by y,
+    None leaving a side where it is.  Each pair found is entered in `parents`
+    as (parent pair, x, y).
+    """
+    step, obs = system._step, system._obs
+    queue = deque(parents)
+    while queue:
+        pair = queue.popleft()
+        s, t = pair
+        if obs[s][u] != obs[t][u]:
+            return pair
+        for xa, ya in moves:
+            child = (s if xa is None else step[s][xa], t if ya is None else step[t][ya])
+            if child not in parents:
+                parents[child] = (pair, xa, ya)
+                queue.append(child)
+    return None
+
+
 def exact_pair_check_p(system: System) -> Verdict:
     """Decide purge security by searching the product of the system with
     itself: synchronized moves on every action, one-sided moves on actions
     invisible to the observer.  Exact, and independent of the union-find
     decider."""
     system.require_valid()
-    step, obs, may, dom = system._step, system._obs, system._may, system._dom
+    may, dom = system._may, system._dom
     s0 = system.state_index(system.initial)
     all_actions = list(range(len(system.actions)))
     for u, uname in enumerate(system.policy.domains):
         invisible = [a for a in all_actions if not may[dom[a]][u]]
-        start = (s0, s0)
-        parents: dict = {start: None}
-        queue = deque([start])
-        while queue:
-            pair = queue.popleft()
-            s, t = pair
-            moves = [(step[s][a], step[t][a], a, a) for a in all_actions]
-            moves += [(step[s][a], t, a, None) for a in invisible]
-            moves += [(s, step[t][a], None, a) for a in invisible]
-            for ns, nt, xa, ya in moves:
-                child = (ns, nt)
-                if child not in parents:
-                    parents[child] = (pair, xa, ya)
-                    if obs[ns][u] != obs[nt][u]:
-                        alpha, beta, _ = _pair_witness(system, parents, child)
-                        return Verdict(False, uname, alpha, beta)
-                    queue.append(child)
+        moves = ([(a, a) for a in all_actions] + [(a, None) for a in invisible]
+                 + [(None, a) for a in invisible])
+        parents: dict = {(s0, s0): None}
+        pair = _first_split(system, u, parents, moves)
+        if pair is not None:
+            alpha, beta, _ = _pair_witness(system, parents, pair)
+            return Verdict(False, uname, alpha, beta)
     return Verdict(True)
 
 
@@ -347,42 +360,32 @@ def exact_pair_check_ip(system: System) -> Verdict:
     actors its domain cannot reach, and the two runs are stepped in lockstep.
     Exact, and independent of the union-find decider."""
     system.require_valid()
-    step, obs, may, dom = system._step, system._obs, system._may, system._dom
+    step, may, dom = system._step, system._may, system._dom
     nd = len(system.policy.domains)
-    all_actions = list(range(len(system.actions)))
+    names = system.actions
     reach = system._reachable_idx()
     for u, uname in enumerate(system.policy.domains):
         for v in range(nd):
             if may[v][u]:
                 continue
-            sync = [a for a in all_actions if not may[v][dom[a]]]
+            sync = [(a, a) for a in range(len(names)) if not may[v][dom[a]]]
             # Each seed pair is a root; `seeds` keeps the state and the
             # inserted action it came from.
             parents: dict = {}
             seeds: dict = {}
-            queue = deque()
             for q in reach:
                 for a in system._domain_actions[v]:
                     child = (step[q][a], q)
                     if child not in parents:
                         parents[child] = None
                         seeds[child] = (q, a)
-                        queue.append(child)
-            while queue:
-                pair = queue.popleft()
-                s, t = pair
-                if obs[s][u] != obs[t][u]:
-                    suffix_a, suffix_b, root = _pair_witness(system, parents, pair)
-                    q, a0 = seeds[root]
-                    names = system.actions
-                    prefix = tuple(names[a] for a in _shortest_path(system, q))
-                    return Verdict(False, uname, prefix + (names[a0],) + suffix_a,
-                                   prefix + suffix_b)
-                for a in sync:
-                    child = (step[s][a], step[t][a])
-                    if child not in parents:
-                        parents[child] = (pair, a, a)
-                        queue.append(child)
+            pair = _first_split(system, u, parents, sync)
+            if pair is not None:
+                suffix_a, suffix_b, root = _pair_witness(system, parents, pair)
+                q, a0 = seeds[root]
+                prefix = tuple(names[a] for a in system._shortest_path(q))
+                return Verdict(False, uname, prefix + (names[a0],) + suffix_a,
+                               prefix + suffix_b)
     return Verdict(True)
 
 

@@ -102,11 +102,12 @@ class System:
     observations not mentioned default to the null token.
 
     Valid systems are immutable: nothing changes them after construction, and
-    the rows of the step and observation tables are tuples.  They may be
-    shared freely across threads, with one caveat: the internal
-    structural-sharing table for information trees is not locked, so
-    tree-building semantics should be driven from one thread per system at a
-    time.
+    the rows of the step and observation tables are tuples.  The reachable
+    states and their BFS tree are computed on first use and kept; every
+    witness prefix is a walk up that tree.  Systems may be shared freely
+    across threads, with one caveat: the internal structural-sharing table
+    for information trees is not locked, so tree-building semantics should
+    be driven from one thread per system at a time.
     """
 
     def __init__(
@@ -131,6 +132,7 @@ class System:
         self.diagnostics: tuple[str, ...] = tuple(self._check())
         self._trees: dict = {}
         self._reach: list[int] | None = None
+        self._parent: list[int] = []
         if not self.diagnostics:
             self._build()
 
@@ -222,25 +224,45 @@ class System:
         return self._obs[self.state_index(state)][self.policy.index(domain)]
 
     def _reachable_idx(self) -> list[int]:
-        """Reachable state indices, BFS layer by layer, declaration order inside a layer."""
+        """Reachable state indices, BFS layer by layer, declaration order inside a layer.
+
+        Also records each state's BFS parent in `_parent`: -1 when
+        unreachable, the initial state its own parent.  Layers are expanded
+        in discovery order (only the copy in the output is sorted), so these
+        are exactly the parents a FIFO search assigns.
+        """
         if self._reach is None:
             step = self._step
             s0 = self.state_index(self.initial)
-            seen = bytearray(len(self.states))
-            seen[s0] = 1
+            parent = [-1] * len(self.states)
+            parent[s0] = s0
             order, layer = [s0], [s0]
             while layer:
                 nxt = []
                 for s in layer:
                     for t in step[s]:
-                        if not seen[t]:
-                            seen[t] = 1
+                        if parent[t] < 0:
+                            parent[t] = s
                             nxt.append(t)
-                nxt.sort()
-                order += nxt
+                order += sorted(nxt)
                 layer = nxt
             self._reach = order
+            self._parent = parent
         return self._reach
+
+    def _shortest_path(self, target: int) -> tuple[int, ...]:
+        """Action indices of a BFS-shortest path from the initial state to
+        `target`: the walk up the parents `_reachable_idx` records, taking at
+        each hop the first action of the parent that reaches the child."""
+        self._reachable_idx()
+        parent, step = self._parent, self._step
+        if parent[target] < 0:
+            raise InputError("witness state is unreachable")
+        path = []
+        while (s := parent[target]) != target:
+            path.append(step[s].index(target))
+            target = s
+        return tuple(reversed(path))
 
     @classmethod
     def from_functions(

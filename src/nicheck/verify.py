@@ -20,11 +20,9 @@ mirror those of (v, w) and the sync set is symmetric.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InputError
 from .system import System
 
 
@@ -50,30 +48,6 @@ class Verdict:
 SECURE = Verdict(True)
 
 
-def _shortest_path(system: System, target: int) -> tuple[int, ...]:
-    """Action indices of a BFS-shortest path from the initial state to target."""
-    start = system.state_index(system.initial)
-    if target == start:
-        return ()
-    step = system._step
-    back: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a, t in enumerate(step[s]):
-            if t not in back:
-                back[t] = (s, a)
-                if t == target:
-                    path = []
-                    while t != start:
-                        s, a = back[t]
-                        path.append(a)
-                        t = s
-                    return tuple(reversed(path))
-                queue.append(t)
-    raise InputError("witness state is unreachable")  # merge forest invariant breach
-
-
 def _witness(system: System, up: list, label: list, seeds: int, k: int) -> tuple:
     """Two runs ending in the states of merge k, rebuilt from the merge forest.
 
@@ -86,7 +60,7 @@ def _witness(system: System, up: list, label: list, seeds: int, k: int) -> tuple
         acts.append(label[k])
         k = up[k]
     names = system.actions
-    prefix = tuple(names[a] for a in _shortest_path(system, up[k]))
+    prefix = tuple(names[a] for a in system._shortest_path(up[k]))
     tail = tuple(names[a] for a in reversed(acts))
     x, y = label[k]
     return prefix + x + tail, prefix + y + tail

@@ -3,6 +3,9 @@
 A `UnionFind` object, a pair-keyed `WitnessStore` forest and a `deque` of
 pending pairs, kept as the reference the flat engine must match verdict for
 verdict and witness for witness.  It makes the same merges in the same order.
+Its witness prefixes come from `shortest_path`, the FIFO search that
+`System._shortest_path` replaced, so the engine and its reference share no
+path code.
 """
 
 from __future__ import annotations
@@ -12,7 +15,30 @@ from typing import Iterable
 
 from nicheck.errors import InputError
 from nicheck.system import System
-from nicheck.verify import _shortest_path
+
+
+def shortest_path(system: System, target: int) -> tuple[int, ...]:
+    """Action indices of a BFS-shortest path from the initial state to target."""
+    start = system.state_index(system.initial)
+    if target == start:
+        return ()
+    step = system._step
+    back: dict[int, tuple[int, int]] = {start: (-1, -1)}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for a, t in enumerate(step[s]):
+            if t not in back:
+                back[t] = (s, a)
+                if t == target:
+                    path = []
+                    while t != start:
+                        s, a = back[t]
+                        path.append(a)
+                        t = s
+                    return tuple(reversed(path))
+                queue.append(t)
+    raise InputError("witness state is unreachable")  # merge forest invariant breach
 
 
 class UnionFind:
@@ -93,7 +119,7 @@ def compute_witness(system: System, store: WitnessStore, s: int, t: int) -> tupl
         xs[:0] = x
         ys[:0] = y
         s, t = s2, t2
-    prefix = _shortest_path(system, s)
+    prefix = shortest_path(system, s)
     names = system.actions
     alpha = tuple(names[a] for a in prefix) + tuple(xs)
     beta = tuple(names[a] for a in prefix) + tuple(ys)

@@ -44,6 +44,9 @@ class TestParse:
         with pytest.raises(nc.InputError) as err:
             nc.parse_system("domain H\naction h H\nstate s0\n")
         assert any("no initial state" in d for d in err.value.diagnostics)
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system("domain H\n")
+        assert list(err.value.diagnostics) == ["no states declared"]
 
     def test_unknown_keyword_reports_line_number(self):
         with pytest.raises(nc.InputError) as err:
@@ -72,6 +75,13 @@ class TestParse:
             "obs s1 L 1\n"
             "trans s1 l s0\n"
             "trans s1 l s1\n"
+            "domain\n"
+            "interferes H X\n"
+            "action h L\n"
+            "state s2 init now\n"
+            "trans s1 x s0\n"
+            "obs s1 Z 1\n"
+            "obs s1 L 2\n"
         )
         with pytest.raises(nc.InputError) as err:
             nc.parse_system(text)
@@ -80,6 +90,13 @@ class TestParse:
             "line 8: duplicate state 's0'",
             "line 9: unknown state 's9'",
             "line 12: duplicate transition for (s1, l)",
+            "line 13: 'domain' takes 1 arguments",
+            "line 14: unknown domain 'X'",
+            "line 15: duplicate action 'h'",
+            "line 16: expected 'state NAME [init]'",
+            "line 17: unknown action 'x'",
+            "line 18: unknown domain 'Z'",
+            "line 19: duplicate observation for (s1, L)",
         ]
         assert str(err.value) == "cannot parse system: line 6: unknown state 's1'"
 

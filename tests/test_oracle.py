@@ -40,6 +40,8 @@ class TestTraceKey:
     def test_unknown_notion(self, fig5):
         with pytest.raises(nc.InputError):
             nc.trace_key(fig5, "zz", "L", ())
+        with pytest.raises(nc.InputError, match="^unknown security notion 'zz'$"):
+            nc.bounded_check(fig5, "zz", 2)
 
 
 class TestBoundedCheck:

@@ -117,6 +117,8 @@ class TestReachableStates:
             {("island", "a"): "s0"},
         )
         assert nc.reachable_states(s) == ("s0",)
+        with pytest.raises(nc.InputError, match="^witness state is unreachable$"):
+            s._shortest_path(s.state_index("island"))
 
     def test_fig5_reaches_everything(self, fig5):
         assert nc.reachable_states(fig5) == ("s0", "s1", "s2")

@@ -391,3 +391,18 @@ class TestFlatClosureIdentity:
         insecure = [v for v in flat if not v.secure]
         assert len(insecure) >= 1000
         assert max(len(v.alpha) for v in insecure) >= 15
+
+    def test_paths_equal_reference_search(self):
+        # Every reachable state's witness prefix is the path the FIFO search
+        # in `reference_closure` finds; two 3 000-state machines add paths of
+        # up to about twenty hops.
+        systems = list(self.systems())
+        rng = random.Random(91)
+        systems += [nc.gen_random_system(nc.GenParams(
+            3000, rng.randint(2, 4), rng.randint(2, 3), 2, 0.3, 9100 + i)) for i in range(2)]
+        checked = 0
+        for s in systems:
+            for q in s._reachable_idx():
+                assert s._shortest_path(q) == reference_closure.shortest_path(s, q)
+                checked += 1
+        assert checked >= 19_000
