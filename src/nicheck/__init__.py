@@ -16,7 +16,6 @@ from .system import (
     policy_image,
     reachable_states,
     run,
-    validate,
 )
 from .semantics import (
     ACT,

@@ -1,8 +1,9 @@
 class InputError(ValueError):
     """Raised for malformed systems, policies, traces, or command-line input.
 
-    `diagnostics` carries the individual problems when several were found at
-    once (e.g. while parsing a system file).
+    `diagnostics` carries every problem found at once: all the line-numbered
+    errors of a system file, or all the declaration errors a `System`
+    constructor found.  A single problem is its own one-item list.
     """
 
     def __init__(self, message, diagnostics=()):

@@ -115,16 +115,13 @@ def parse_system(text: str) -> System:
     if diags:
         raise InputError(f"cannot parse system: {diags[0]}", diags)
 
-    system = System(
+    return System(
         Policy(domains, edges), states, initial, actions, transitions, observations
     )
-    system.require_valid()
-    return system
 
 
 def serialize_system(system: System) -> str:
     """Canonical text form: blocks in declaration order, defaults omitted."""
-    system.require_valid()
     pol = system.policy
     lines: list[str] = []
     for d in pol.domains:

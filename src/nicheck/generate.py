@@ -61,16 +61,12 @@ def gen_random_system(params: GenParams) -> System:
                 transitions[(states[s], f"a{a}")] = states[t]
     tokens = [f"o{i}" for i in range(params.obs_alphabet_size)]
     observations = {}
+    # A single token certainly stutters everywhere; keep the default.
     if params.obs_alphabet_size > 1:
         for s in states:
             for d in domains:
                 observations[(s, d)] = rng.choice(tokens)
-    else:
-        # A single token certainly stutters everywhere; keep the default.
-        pass
-    sys = System(policy, states, states[0], actions, transitions, observations)
-    sys.require_valid()
-    return sys
+    return System(policy, states, states[0], actions, transitions, observations)
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,7 @@ _LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta,
 
 
 def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
-    try:
-        key = _KEYS[notion]
-    except KeyError:
-        raise InputError(f"unknown security notion {notion!r}") from None
-    return key(profile, ui, senders)
+    return _KEYS[notion](profile, ui, senders)
 
 
 def trace_key(system: System, notion: str, u: str, alpha) -> object:
@@ -216,7 +212,6 @@ def bounded_check(
     parent's key and, the parent having passed, clashes exactly when its
     observation changed.
     """
-    system.require_valid()
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
     if depth < 0:
@@ -338,7 +333,6 @@ def exact_pair_check_p(system: System) -> Verdict:
     itself: synchronized moves on every action, one-sided moves on actions
     invisible to the observer.  Exact, and independent of the union-find
     decider."""
-    system.require_valid()
     may, dom = system._may, system._dom
     s0 = system.state_index(system.initial)
     all_actions = list(range(len(system.actions)))
@@ -359,7 +353,6 @@ def exact_pair_check_ip(system: System) -> Verdict:
     characterization: an invisible action is inserted before a suffix whose
     actors its domain cannot reach, and the two runs are stepped in lockstep.
     Exact, and independent of the union-find decider."""
-    system.require_valid()
     step, may, dom = system._step, system._may, system._dom
     nd = len(system.policy.domains)
     names = system.actions

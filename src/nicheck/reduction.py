@@ -220,7 +220,6 @@ def augment_final(system: System) -> System:
     and makes the system ignore all its later actions.  State tracks the set
     of domains that have gone final.  Built over the reachable part only.
     """
-    system.require_valid()
     finals = {a + FINAL_SUFFIX: a for a in system.actions}
     clash = set(finals) & set(system.actions)
     if clash:
@@ -267,7 +266,6 @@ def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
     the first final action itself is replaced by the action it closes over.
     On machines without final actions this is the identity.
     """
-    augmented.require_valid()
     finals = augmented.final_action_base
     out: list[str] = []
     gone_final: set[str] = set()

@@ -31,7 +31,6 @@ EPSILON = ("eps",)
 
 
 def _indices(system: System, u: str, alpha: Iterable[str]) -> tuple[int, list[int]]:
-    system.require_valid()
     return system.policy.index(u), [system.action_index(a) for a in alpha]
 
 
@@ -330,7 +329,6 @@ class TraceProfile:
 
     @classmethod
     def start(cls, system: System, needs: Iterable[str] = _NEED_KEYS) -> "TraceProfile":
-        system.require_valid()
         needs = frozenset(needs)
         unknown = needs - frozenset(_NEED_KEYS)
         if unknown:

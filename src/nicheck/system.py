@@ -95,16 +95,17 @@ def is_transitive(policy: Policy) -> bool:
 class System:
     """A finite deterministic machine observed per security domain.
 
-    Construction is lenient: any inconsistency in the declarations is recorded
-    in `diagnostics` instead of raising, so callers such as the file parser
-    can report every problem at once.  All other operations require an empty
-    diagnostics list.  Transitions not mentioned default to self-loops and
-    observations not mentioned default to the null token.
+    A System is valid from construction: the constructor checks every
+    declaration and raises `InputError` whose `diagnostics` lists all the
+    problems it found, so no operation needs to check again.  Transitions
+    not mentioned default to self-loops and observations not mentioned
+    default to the null token.
 
-    Valid systems are immutable: nothing changes them after construction, and
-    the rows of the step and observation tables are tuples.  The reachable
-    states and their BFS tree are computed on first use and kept; every
-    witness prefix is a walk up that tree.  Systems may be shared freely
+    Systems are immutable, with one exception: `augment_final` fills in
+    `final_action_base` on the machine it has just built.  The rows of the
+    step and observation tables are tuples.  The reachable states and their
+    BFS tree are computed on first use and kept; every witness prefix is a
+    walk up that tree.  Systems may be shared freely
     across threads, with one caveat: the internal structural-sharing table
     for information trees is not locked, so tree-building semantics should
     be driven from one thread per system at a time.
@@ -130,11 +131,11 @@ class System:
         # action back onto the action it closes over.
         self.final_action_base: dict[str, str] = {}
         self.diagnostics: tuple[str, ...] = tuple(self._check())
+        self.require_valid()
         self._trees: dict = {}
         self._reach: list[int] | None = None
         self._parent: list[int] = []
-        if not self.diagnostics:
-            self._build()
+        self._build()
 
     # -- validation ------------------------------------------------------
 
@@ -200,6 +201,8 @@ class System:
         self._obs = [tuple(row) for row in obs]
 
     def require_valid(self) -> None:
+        """Raise `InputError` listing every problem `_check` found; the
+        constructor calls it, so it passes on every System that exists."""
         if self.diagnostics:
             raise InputError(
                 f"invalid system: {self.diagnostics[0]}", self.diagnostics
@@ -220,7 +223,6 @@ class System:
             raise InputError(f"unknown action {a!r}") from None
 
     def obs(self, state: str, domain: str) -> str:
-        self.require_valid()
         return self._obs[self.state_index(state)][self.policy.index(domain)]
 
     def _reachable_idx(self) -> list[int]:
@@ -312,16 +314,9 @@ class System:
                 token = obs_fn(s, d)
                 if token != NULL_OBS:
                     observations[(named[s], d)] = token
-        sys = cls(policy, names, names[0], actions, transitions, observations)
-        sys.require_valid()
-        return sys
+        return cls(policy, names, names[0], actions, transitions, observations)
 
     def _canonical(self):
-        if self.diagnostics:
-            return (self.policy, self.states, self.initial, self.actions,
-                    tuple(sorted(self.action_domain.items())),
-                    tuple(sorted(self.transitions.items())),
-                    tuple(sorted(self.observations.items())))
         return (
             self.policy,
             self.states,
@@ -347,14 +342,8 @@ class System:
         )
 
 
-def validate(system: System) -> list[str]:
-    """All invariant violations in the system's declarations; empty means ok."""
-    return list(system.diagnostics)
-
-
 def run(system: System, start: str, alpha: Iterable[str]) -> str:
     """The state reached from `start` by performing the actions of `alpha` in order."""
-    system.require_valid()
     s = system.state_index(start)
     step = system._step
     for a in alpha:
@@ -364,5 +353,4 @@ def run(system: System, start: str, alpha: Iterable[str]) -> str:
 
 def reachable_states(system: System) -> tuple[str, ...]:
     """States reachable from the initial state, BFS layer then declaration order."""
-    system.require_valid()
     return tuple(system.states[i] for i in system._reachable_idx())

@@ -189,7 +189,6 @@ def _lr_swap(system: System, reach: list[int], v_actions: list[int], w_actions: 
 def decide_p(system: System) -> Verdict:
     """Decide security in the purge sense: every domain's observation depends
     only on the actions of domains permitted to interfere with it."""
-    system.require_valid()
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     all_actions = list(range(len(system.actions)))
@@ -203,7 +202,6 @@ def decide_p(system: System) -> Verdict:
 
 def decide_ip(system: System) -> Verdict:
     """Decide security in the intransitive-purge sense."""
-    system.require_valid()
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
@@ -223,7 +221,6 @@ def decide_ip(system: System) -> Verdict:
 def decide_ta(system: System) -> Verdict:
     """Decide security in the transmitted-information sense: intransitive
     purge security plus indistinguishability of swappable adjacent actions."""
-    system.require_valid()
     first = decide_ip(system)
     if not first.secure:
         return first

@@ -23,7 +23,8 @@ class TestGenRandomSystem:
     def test_generated_systems_validate(self):
         for seed in range(30):
             s = nc.gen_random_system(nc.GenParams(6, 4, 3, 3, 0.3, seed))
-            assert nc.validate(s) == []
+            assert s.diagnostics == ()
+            assert nc.parse_system(nc.serialize_system(s)) == s
 
     def test_bad_params_rejected(self):
         with pytest.raises(nc.InputError):
@@ -39,7 +40,9 @@ class TestFixtures:
 
     def test_all_fixtures_validate(self):
         for name in nc.FIXTURE_NAMES:
-            assert nc.validate(nc.fixture(name)) == []
+            s = nc.fixture(name)
+            assert s.diagnostics == ()
+            assert nc.parse_system(nc.serialize_system(s)) == s
 
     @pytest.mark.parametrize("name", nc.FIXTURE_NAMES)
     def test_classification_table(self, name):

@@ -33,6 +33,11 @@ class TestPcpInstance:
         with pytest.raises(nc.InputError):
             nc.PcpInstance("ab", ("a",), ("b", "a"))
 
+    def test_rejects_non_alphanumeric_letter(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.PcpInstance("a-", ("a",), ("-",))
+        assert str(err.value) == "letters must be alphanumeric, got '-'"
+
 
 class TestBuildPcpSystem:
     def test_fixed_policy_and_four_domains(self, pcp_demo):
@@ -102,6 +107,11 @@ class TestPcpWitness:
         with pytest.raises(nc.InputError):
             nc.pcp_witness(nc.DEMO_INSTANCE, (4,))
 
+    def test_solution_differing_only_in_length_rejected(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.pcp_witness(nc.PcpInstance("ab", ("a",), ("aa",)), (1,))
+        assert str(err.value) == "not a solution: concatenations differ in length (1 vs 2)"
+
 
 class TestAugmentFinal:
     def test_smallest_machine_doubles_actions_and_freezes(self):
@@ -116,6 +126,12 @@ class TestAugmentFinal:
         assert aug.obs(frozen, "A") == nc.NULL_OBS
         # later actions of a finished domain are ignored
         assert nc.run(aug, frozen, ("a", "a!")) == frozen
+
+    def test_action_named_like_a_final_variant_rejected(self):
+        base = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A", "a!": "A"})
+        with pytest.raises(nc.InputError) as err:
+            nc.augment_final(base)
+        assert str(err.value) == "action names ['a!'] collide with final variants"
 
     def test_final_actions_keep_their_domain(self, fig8):
         aug = nc.augment_final(fig8)
@@ -161,6 +177,11 @@ class TestConvertback:
     def test_empty_trace(self, fig8):
         aug = nc.augment_final(fig8)
         assert nc.convertback(aug, ()) == ()
+
+    def test_unknown_action_rejected(self, fig8):
+        with pytest.raises(nc.InputError) as err:
+            nc.convertback(nc.augment_final(fig8), ("d!", "zz"))
+        assert str(err.value) == "unknown action 'zz'"
 
 
 def finalize_last_actions(system, augmented, observer, alpha):

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,28 +161,97 @@ class TestReachableStates:
                     assert nc.run(s, q, (a,)) in reach
 
 
+class _Repeated(Mapping):
+    """An action mapping whose iteration names every action twice."""
+
+    def __init__(self, actions):
+        self._actions = dict(actions)
+
+    def __getitem__(self, a):
+        return self._actions[a]
+
+    def __iter__(self):
+        for a in self._actions:
+            yield a
+            yield a
+
+    def __len__(self):
+        return 2 * len(self._actions)
+
+
+def _rejected(states=("s0",), initial="s0", actions=None,
+              transitions=None, observations=None) -> list[str]:
+    """The diagnostics a one-domain system's constructor rejects it with."""
+    with pytest.raises(nc.InputError) as err:
+        nc.System(nc.Policy(("A",)), states, initial,
+                  {"a": "A"} if actions is None else actions,
+                  transitions, observations)
+    diagnostics = list(err.value.diagnostics)
+    assert str(err.value) == f"invalid system: {diagnostics[0]}"
+    return diagnostics
+
+
 class TestValidate:
     def test_wellformed_fixture_is_ok(self, fig5):
-        assert nc.validate(fig5) == []
+        assert fig5.diagnostics == ()
+        fig5.require_valid()
+        assert nc.System(fig5.policy, fig5.states, fig5.initial, fig5.action_domain,
+                         fig5.transitions, fig5.observations) == fig5
 
     def test_action_with_undeclared_domain(self):
-        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "X"})
-        assert any("unknown domain" in d for d in nc.validate(s))
-        with pytest.raises(nc.InputError):
-            nc.run(s, "s0", ())
+        assert _rejected(actions={"a": "X"}) == ["action a: unknown domain 'X'"]
 
     def test_dangling_transition_target(self):
-        s = nc.System(
-            nc.Policy(("A",)), ("s0",), "s0", {"a": "A"}, {("s0", "a"): "s9"}
-        )
-        assert any("unknown target state" in d for d in nc.validate(s))
+        assert _rejected(transitions={("s0", "a"): "s9"}) == [
+            "transition s0 --a--> s9: unknown target state"]
 
     def test_bad_observation_token(self):
-        s = nc.System(
-            nc.Policy(("A",)), ("s0",), "s0", {"a": "A"}, {},
-            {("s0", "A"): "two words"},
-        )
-        assert any("bad token" in d for d in nc.validate(s))
+        assert _rejected(observations={("s0", "A"): "two words"}) == [
+            "observation for (s0, A): bad token 'two words'"]
+
+    @pytest.mark.parametrize("kwargs, diagnostic", [
+        ({"states": ("s 0",), "initial": "s 0"}, "bad state name 's 0'"),
+        ({"states": ("s0", "s0")}, "duplicate state declaration"),
+        ({"states": ()}, "no states declared"),
+        ({"initial": "s1"}, "initial state 's1' is not declared"),
+        ({"actions": {"a#": "A"}}, "bad action name 'a#'"),
+        ({"actions": _Repeated({"a": "A"})}, "duplicate action declaration"),
+        ({"transitions": {("s9", "a"): "s0"}},
+         "transition s9 --a--> s0: unknown source state"),
+        ({"transitions": {("s0", "b"): "s0"}},
+         "transition s0 --b--> s0: unknown action"),
+        ({"observations": {("s9", "A"): "x"}},
+         "observation for (s9, A): unknown state"),
+        ({"observations": {("s0", "X"): "x"}},
+         "observation for (s0, X): unknown domain"),
+    ])
+    def test_each_problem_has_its_diagnostic(self, kwargs, diagnostic):
+        assert _rejected(**kwargs) == [diagnostic]
+
+    def test_every_problem_is_reported_in_check_order(self):
+        assert _rejected(
+            states=("s 0", "s 0"), initial="s1", actions={"a#": "X"},
+            transitions={("s9", "b"): "s8"},
+            observations={("s9", "X"): "two words"},
+        ) == [
+            "bad state name 's 0'",
+            "bad state name 's 0'",
+            "duplicate state declaration",
+            "initial state 's1' is not declared",
+            "bad action name 'a#'",
+            "action a#: unknown domain 'X'",
+            "transition s9 --b--> s8: unknown source state",
+            "transition s9 --b--> s8: unknown target state",
+            "transition s9 --b--> s8: unknown action",
+            "observation for (s9, X): unknown state",
+            "observation for (s9, X): unknown domain",
+            "observation for (s9, X): bad token 'two words'",
+        ]
+
+    def test_bad_domain_name(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.Policy(("A", "B C"))
+        assert list(err.value.diagnostics) == ["bad domain name 'B C'"]
 
 
 def _bad_name_reference(name) -> bool:
@@ -248,3 +318,11 @@ class TestFromFunctions:
                 nc.Policy(("A",)), {"a": "A"}, 0,
                 lambda s, a: 1 - s, lambda s, d: "x", name_fn=lambda s: "same",
             )
+
+    def test_state_budget_enforced(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.System.from_functions(
+                nc.Policy(("A",)), {"a": "A"}, 0,
+                lambda s, a: 1 - s, lambda s, d: "x", max_states=1,
+            )
+        assert str(err.value) == "state space exceeds 1 states"

@@ -148,9 +148,9 @@ class TestDecideP:
         assert not nc.bounded_check(counting_machine, "p", 6).insecure
 
     def test_rejects_invalid_system(self):
-        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "X"})
-        with pytest.raises(nc.InputError):
-            nc.decide_p(s)
+        with pytest.raises(nc.InputError) as err:
+            nc.decide_p(nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "X"}))
+        assert list(err.value.diagnostics) == ["action a: unknown domain 'X'"]
 
 
 class TestDecideIP:
