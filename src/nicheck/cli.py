@@ -50,9 +50,9 @@ def _witness_json(system: System, notion: str, domain, alpha, beta) -> str:
     )
 
 
-def run_scaling_bench(notion="p", sizes=(1000, 10000, 100000), seed=7,
-                      num_actions=4, num_domains=3):
-    """Time one decider over random constant-observation machines.
+def run_scaling_bench(notion="p", sizes=(1000, 10000, 100000), seed=7):
+    """Time one decider over random constant-observation machines with 4
+    actions over 3 domains.
 
     Constant observations keep the machines secure, so every run performs the
     complete closure rather than exiting at the first violation; that is the
@@ -61,7 +61,7 @@ def run_scaling_bench(notion="p", sizes=(1000, 10000, 100000), seed=7,
     decide = _DECIDERS[notion]
     results = []
     for n in sizes:
-        params = GenParams(n, num_actions, num_domains, 1, 0.3, seed)
+        params = GenParams(n, 4, 3, 1, 0.3, seed)
         system = gen_random_system(params)
         started = time.perf_counter()
         verdict = decide(system)

@@ -126,8 +126,7 @@ def serialize_system(system: System) -> str:
     lines: list[str] = []
     for d in pol.domains:
         lines.append(f"domain {d}")
-    idx = {d: i for i, d in enumerate(pol.domains)}
-    for u, v in sorted(pol.edges, key=lambda e: (idx[e[0]], idx[e[1]])):
+    for u, v in sorted(pol.edges, key=lambda e: (pol._index[e[0]], pol._index[e[1]])):
         if u != v:
             lines.append(f"interferes {u} {v}")
     for a in system.actions:

@@ -1,7 +1,9 @@
 """Seeded random machines and the standard separating fixtures.
 
 The fixtures are small machines realizing the classic separations between
-the security notions under downgrader-style policies.  Each ships with its
+the security notions under downgrader-style policies.  fig5, fig7 and fig8
+share one template, `_one_bit`: a secret bit passed from H to L through a
+downgrader D, the three differing only in what D observes.  Each ships with its
 expected classification; `FIXTURE_CLASSIFICATION` records the exact verdicts
 for the three decidable notions and, for the two undecidable ones, the
 enumeration depth at which a bounded check first finds a violation (None when
@@ -74,25 +76,15 @@ def gen_random_system(params: GenParams) -> System:
 # ---------------------------------------------------------------------------
 
 
-def _downgrader_policy() -> Policy:
-    return Policy(("H", "D", "L"), (("H", "D"), ("D", "L")))
-
-
-def _fig5() -> System:
-    # One bit: "has h ever happened?".  H and D see it at once, L only after
-    # the downgrade d.
-    return System(
-        _downgrader_policy(),
-        ("s0", "s1", "s2"),
-        "s0",
-        {"h": "H", "d": "D", "l": "L"},
-        {("s0", "h"): "s1", ("s1", "d"): "s2"},
-        {
-            ("s0", "H"): "0", ("s1", "H"): "1", ("s2", "H"): "1",
-            ("s0", "D"): "0", ("s1", "D"): "1", ("s2", "D"): "1",
-            ("s0", "L"): "0", ("s1", "L"): "0", ("s2", "L"): "1",
-        },
-    )
+def _one_bit(states: tuple[str, str, str], downgrader_sees: str) -> System:
+    # The one-bit machine: h sets the bit (state 0 -> 1) and the downgrade d
+    # passes it on (1 -> 2).  H sees the bit at once, L only after d, and D
+    # sees `downgrader_sees[i]` in state i.
+    s0, s1, s2 = states
+    sees = {"H": "011", "D": downgrader_sees, "L": "001"}
+    observations = {(s, dom): row[i] for dom, row in sees.items() for i, s in enumerate(states)}
+    return System(Policy(("H", "D", "L"), (("H", "D"), ("D", "L"))), states, s0,
+                  {"h": "H", "d": "D", "l": "L"}, {(s0, "h"): s1, (s1, "d"): s2}, observations)
 
 
 def _fig6() -> System:
@@ -132,45 +124,15 @@ def _fig6() -> System:
     return System.from_functions(policy, actions, initial, step, obs, name)
 
 
-def _fig7() -> System:
-    # As fig5, but the downgrader itself observes nothing: it passes on a bit
-    # it never held.
-    return System(
-        _downgrader_policy(),
-        ("s0", "s1", "s2"),
-        "s0",
-        {"h": "H", "d": "D", "l": "L"},
-        {("s0", "h"): "s1", ("s1", "d"): "s2"},
-        {
-            ("s0", "H"): "0", ("s1", "H"): "1", ("s2", "H"): "1",
-            ("s0", "D"): "0", ("s1", "D"): "0", ("s2", "D"): "0",
-            ("s0", "L"): "0", ("s1", "L"): "0", ("s2", "L"): "1",
-        },
-    )
-
-
-def _fig8() -> System:
-    # The downgrader learns the bit through the observation it makes right
-    # after downgrading, and L learns it at the same moment.
-    return System(
-        _downgrader_policy(),
-        ("t0", "t1", "t2"),
-        "t0",
-        {"h": "H", "d": "D", "l": "L"},
-        {("t0", "h"): "t1", ("t1", "d"): "t2"},
-        {
-            ("t0", "H"): "0", ("t1", "H"): "1", ("t2", "H"): "1",
-            ("t0", "D"): "0", ("t1", "D"): "0", ("t2", "D"): "1",
-            ("t0", "L"): "0", ("t1", "L"): "0", ("t2", "L"): "1",
-        },
-    )
-
-
 _FIXTURES = {
-    "fig5": _fig5,
+    # D holds the bit as soon as H does.
+    "fig5": lambda: _one_bit(("s0", "s1", "s2"), "011"),
     "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
+    # D observes nothing: it passes on a bit it never held.
+    "fig7": lambda: _one_bit(("s0", "s1", "s2"), "000"),
+    # D learns the bit by the observation it makes right after downgrading,
+    # the moment L learns it.
+    "fig8": lambda: _one_bit(("t0", "t1", "t2"), "001"),
     "pcp_demo": lambda: build_pcp_system(DEMO_INSTANCE),
 }
 

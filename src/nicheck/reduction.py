@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
-from .system import NULL_OBS, Policy, System
+from .system import FINAL_SUFFIX, NULL_OBS, Policy, System
 
 #: Domain that spells out the candidate word, letter by letter.
 SPELLER = "speller"
@@ -210,9 +210,6 @@ def pcp_witness(instance: PcpInstance, solution: Iterable[int]) -> tuple:
 # Final-action augmentation
 # ---------------------------------------------------------------------------
 
-FINAL_SUFFIX = "!"
-
-
 def augment_final(system: System) -> System:
     """Extend a machine with a final variant of every action.
 
@@ -231,7 +228,7 @@ def augment_final(system: System) -> System:
     domains = system.policy.domains
     step_tab = system._step
     obs_tab = system._obs
-    didx = {d: i for i, d in enumerate(domains)}
+    didx = system.policy._index
 
     def step(s, a: str):
         base, done = s
@@ -254,9 +251,7 @@ def augment_final(system: System) -> System:
         return f"{system.states[base]}|{marks}"
 
     initial = (system.state_index(system.initial), frozenset())
-    out = System.from_functions(system.policy, actions, initial, step, obs, name)
-    out.final_action_base = dict(finals)
-    return out
+    return System.from_functions(system.policy, actions, initial, step, obs, name)
 
 
 def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
@@ -264,7 +259,10 @@ def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
 
     Every action a domain performs after its first final action is dropped;
     the first final action itself is replaced by the action it closes over.
-    On machines without final actions this is the identity.
+    Final actions are read off the action names (`final_action_base`), so a
+    saved and reloaded machine converts back alike, and so does any machine
+    with actions `x` and `x` + FINAL_SUFFIX of one domain.  On machines
+    without final actions this is the identity.
     """
     finals = augmented.final_action_base
     out: list[str] = []

@@ -8,13 +8,14 @@ reflexive relation over the domains saying who may pass information to whom.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
 
 #: Distinguished "nothing to see" observation token, also the default.
 NULL_OBS = "_"
+#: Action `x` + FINAL_SUFFIX in the domain of `x` is the final variant of `x`.
+FINAL_SUFFIX = "!"
 
 
 def _bad_name(name) -> bool:
@@ -45,7 +46,10 @@ class Policy:
             if _bad_name(name):
                 raise InputError(f"bad domain name {name!r}")
         edges = tuple(edges)
-        for u, v in edges:
+        for edge in edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                raise InputError(f"interference edge {edge!r}: not a (domain, domain) pair")
+            u, v = edge
             if u not in self._index or v not in self._index:
                 raise InputError(f"interference edge ({u}, {v}) names an undeclared domain")
         self.edges = frozenset(edges) | frozenset((d, d) for d in self.domains)
@@ -101,14 +105,13 @@ class System:
     not mentioned default to self-loops and observations not mentioned
     default to the null token.
 
-    Systems are immutable, with one exception: `augment_final` fills in
-    `final_action_base` on the machine it has just built.  The rows of the
-    step and observation tables are tuples.  The reachable states and their
-    BFS tree are computed on first use and kept; every witness prefix is a
-    walk up that tree.  Systems may be shared freely
-    across threads, with one caveat: the internal structural-sharing table
-    for information trees is not locked, so tree-building semantics should
-    be driven from one thread per system at a time.
+    Systems are immutable; the rows of the step and observation tables are
+    tuples.  The reachable states and their BFS tree are computed on first
+    use and kept; every witness prefix is a walk up that tree.  Systems may
+    be shared freely across threads, with one caveat: the internal
+    structural-sharing table for information trees is not locked, so
+    tree-building semantics should be driven from one thread per system at
+    a time.
     """
 
     def __init__(
@@ -127,9 +130,6 @@ class System:
         self.action_domain = dict(actions)
         self.transitions = dict(transitions or {})
         self.observations = dict(observations or {})
-        # Populated by the final-action augmentation; maps each added closing
-        # action back onto the action it closes over.
-        self.final_action_base: dict[str, str] = {}
         self.diagnostics: tuple[str, ...] = tuple(self._check())
         self.require_valid()
         self._trees: dict = {}
@@ -159,13 +159,21 @@ class System:
             if d not in self.policy._index:
                 out.append(f"action {a}: unknown domain {d!r}")
         states = set(self.states)
-        for (s, a), t in self.transitions.items():
+        for key, t in self.transitions.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                out.append(f"transition key {key!r}: not a (state, action) pair")
+                continue
+            s, a = key
             for q, what in ((s, "source"), (t, "target")):
                 if q not in states:
                     out.append(f"transition {s} --{a}--> {t}: unknown {what} state")
             if a not in self.action_domain:
                 out.append(f"transition {s} --{a}--> {t}: unknown action")
-        for (s, d), token in self.observations.items():
+        for key, token in self.observations.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                out.append(f"observation key {key!r}: not a (state, domain) pair")
+                continue
+            s, d = key
             if s not in states:
                 out.append(f"observation for ({s}, {d}): unknown state")
             if d not in self.policy._index:
@@ -209,6 +217,14 @@ class System:
             )
 
     # -- helpers used across the package ---------------------------------
+
+    @property
+    def final_action_base(self) -> dict[str, str]:
+        """Each final action mapped to the action it closes over: `x` +
+        FINAL_SUFFIX is final for `x` when both are actions of one domain."""
+        dom = self.action_domain
+        return {a + FINAL_SUFFIX: a for a in self.actions
+                if dom.get(a + FINAL_SUFFIX) == dom[a]}
 
     def state_index(self, s: str) -> int:
         try:
@@ -281,39 +297,36 @@ class System:
 
         `step_fn(state, action_name)` and `obs_fn(state, domain_name)` work on
         opaque hashable state values; `name_fn` renders them as state names.
-        Exploration is breadth-first with actions in declaration order, so the
-        state numbering (and hence everything downstream) is deterministic.
+        Exploration is one breadth-first pass with actions in declaration
+        order that names each state as it is found and records each
+        transition, so the state numbering (and hence everything downstream)
+        is deterministic.
         """
         action_names = tuple(actions)
         index = {initial: 0}
-        order = [initial]
-        queue = deque([initial])
+        order = [initial]  # also the BFS queue: the loop reaches appended states
+        names = [name_fn(initial)]
         transitions: dict[tuple[str, str], str] = {}
-        edges = []
-        while queue:
-            s = queue.popleft()
+        for i, s in enumerate(order):
             for a in action_names:
                 t = step_fn(s, a)
-                if t not in index:
+                j = index.get(t)
+                if j is None:
                     if len(order) >= max_states:
                         raise InputError(f"state space exceeds {max_states} states")
-                    index[t] = len(order)
+                    j = index[t] = len(order)
                     order.append(t)
-                    queue.append(t)
-                edges.append((s, a, t))
-        names = [name_fn(s) for s in order]
+                    names.append(name_fn(t))
+                if j != i:
+                    transitions[(names[i], a)] = names[j]
         if len(set(names)) != len(names):
             raise InputError("state naming function produced duplicate names")
-        named = {s: names[i] for s, i in index.items()}
-        for s, a, t in edges:
-            if s is not t and s != t:
-                transitions[(named[s], a)] = named[t]
         observations = {}
-        for s in order:
+        for s, name in zip(order, names):
             for d in policy.domains:
                 token = obs_fn(s, d)
                 if token != NULL_OBS:
-                    observations[(named[s], d)] = token
+                    observations[(name, d)] = token
         return cls(policy, names, names[0], actions, transitions, observations)
 
     def _canonical(self):

@@ -1,6 +1,21 @@
+import hashlib
+
 import pytest
 
 import nicheck as nc
+
+#: sha256 of `serialize_system` of each built-in machine, and of the
+#: `augment_final` of two ("+final"), so that a change in how a fixture is
+#: written down cannot change the machine it builds.
+FIXTURE_DIGESTS = {
+    "fig5": "ac173ba6f9c6841f1a68fb3bb580c5d91d909c981855064b50073a95eb4d479d",
+    "fig6": "b05ea5a0503c445111f4e692f46352606d90443cce0e9b9c291654812cbd2075",
+    "fig7": "271bb4fdd514990399c21b4a4ead751bf8ad97b0639e0334dba4419ccc5b09e0",
+    "fig8": "4955dc89ded971039dd5edb7625b69f1d2a05d2b67a5522cf1cf543dc0b67a51",
+    "pcp_demo": "adfa86ec1520a8f5abdc275ae03d2b015f539715cd829d01199f437a665a80d8",
+    "fig5+final": "488784d4d0c3fa2e975bb68764d8c215096d85469df8236f2a5a2f336a8103d1",
+    "fig8+final": "dbdff6e9c699252156c53eaceaafd80ca469de2f8b7501774b6bb599434118c6",
+}
 
 
 class TestGenRandomSystem:
@@ -43,6 +58,15 @@ class TestFixtures:
             s = nc.fixture(name)
             assert s.diagnostics == ()
             assert nc.parse_system(nc.serialize_system(s)) == s
+
+    @pytest.mark.parametrize("name", FIXTURE_DIGESTS)
+    def test_serialization_digest(self, name):
+        base, _, final = name.partition("+")
+        system = nc.fixture(base)
+        if final:
+            system = nc.augment_final(system)
+        text = nc.serialize_system(system)
+        assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", nc.FIXTURE_NAMES)
     def test_classification_table(self, name):

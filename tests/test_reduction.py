@@ -183,6 +183,25 @@ class TestConvertback:
             nc.convertback(nc.augment_final(fig8), ("d!", "zz"))
         assert str(err.value) == "unknown action 'zz'"
 
+    def test_file_round_trip_converts_alike(self, fig8):
+        aug = nc.augment_final(fig8)
+        back = nc.parse_system(nc.serialize_system(aug))
+        assert back == aug
+        assert back.final_action_base == aug.final_action_base
+        alpha = ("h", "d!", "d", "l")
+        assert nc.convertback(back, alpha) == nc.convertback(aug, alpha) == ("h", "d", "l")
+
+    def test_final_actions_are_read_off_the_names(self):
+        policy = nc.Policy(("A", "B"))
+        same = nc.System(policy, ("s0",), "s0", {"a": "A", "a!": "A"})
+        assert same.final_action_base == {"a!": "a"}
+        assert nc.convertback(same, ("a!", "a")) == ("a",)
+        other = nc.System(policy, ("s0",), "s0", {"a": "A", "a!": "B"})
+        assert other.final_action_base == {}
+        assert nc.convertback(other, ("a!", "a")) == ("a!", "a")
+        with pytest.raises(AttributeError):
+            same.final_action_base = {}
+
 
 def finalize_last_actions(system, augmented, observer, alpha):
     """Replace the last action of every other domain that may pass

@@ -224,6 +224,12 @@ class TestValidate:
          "observation for (s9, A): unknown state"),
         ({"observations": {("s0", "X"): "x"}},
          "observation for (s0, X): unknown domain"),
+        ({"transitions": {("s0",): "s0"}},
+         "transition key ('s0',): not a (state, action) pair"),
+        ({"transitions": {"s0": "s0"}},
+         "transition key 's0': not a (state, action) pair"),
+        ({"observations": {("s0", "A", "B"): "x"}},
+         "observation key ('s0', 'A', 'B'): not a (state, domain) pair"),
     ])
     def test_each_problem_has_its_diagnostic(self, kwargs, diagnostic):
         assert _rejected(**kwargs) == [diagnostic]
@@ -231,8 +237,8 @@ class TestValidate:
     def test_every_problem_is_reported_in_check_order(self):
         assert _rejected(
             states=("s 0", "s 0"), initial="s1", actions={"a#": "X"},
-            transitions={("s9", "b"): "s8"},
-            observations={("s9", "X"): "two words"},
+            transitions={("s9",): "s0", ("s9", "b"): "s8"},
+            observations={("s9", "X", "Y"): "x", ("s9", "X"): "two words"},
         ) == [
             "bad state name 's 0'",
             "bad state name 's 0'",
@@ -240,9 +246,11 @@ class TestValidate:
             "initial state 's1' is not declared",
             "bad action name 'a#'",
             "action a#: unknown domain 'X'",
+            "transition key ('s9',): not a (state, action) pair",
             "transition s9 --b--> s8: unknown source state",
             "transition s9 --b--> s8: unknown target state",
             "transition s9 --b--> s8: unknown action",
+            "observation key ('s9', 'X', 'Y'): not a (state, domain) pair",
             "observation for (s9, X): unknown state",
             "observation for (s9, X): unknown domain",
             "observation for (s9, X): bad token 'two words'",
@@ -252,6 +260,16 @@ class TestValidate:
         with pytest.raises(nc.InputError) as err:
             nc.Policy(("A", "B C"))
         assert list(err.value.diagnostics) == ["bad domain name 'B C'"]
+
+    @pytest.mark.parametrize("edge, diagnostic", [
+        (("A",), "interference edge ('A',): not a (domain, domain) pair"),
+        (("A", "B", "A"), "interference edge ('A', 'B', 'A'): not a (domain, domain) pair"),
+        ("AB", "interference edge 'AB': not a (domain, domain) pair"),
+    ])
+    def test_malformed_edge(self, edge, diagnostic):
+        with pytest.raises(nc.InputError) as err:
+            nc.Policy(("A", "B"), (edge,))
+        assert list(err.value.diagnostics) == [diagnostic]
 
 
 def _bad_name_reference(name) -> bool:
