@@ -14,7 +14,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import ACT, OBS, TraceProfile, _peek_node, ito, to
+from .semantics import TraceProfile, ito, to
 from .system import System, run
 from .verify import Verdict
 
@@ -98,15 +98,15 @@ _KEYS = {
 # The keys of the trace `profile.trace + (action ai,)` for the domains in
 # `moved`, those the action may interfere with, computed from the parent's
 # profile without building the child's.  `after` is the child's observation
-# row.  Each equals `_KEYS[notion](profile.step(ai), u, senders[u])`: purge_u
-# and the position mask of u gain the action, the actor's tview becomes its
-# view followed by the action, and under `ito` the actor's ftview becomes that
-# tview followed by the observation after it.  Under `ta` a tree that is not
-# consed yet is stood in for by its lookup key (`_last_ta`).
+# row.  Each equals `_KEYS[notion](profile.step(ai), u, senders[u])`, its ids
+# interned in the parent's table: purge_u and the position mask of u gain the
+# action, the actor's tview becomes its view followed by the action, under
+# `ito` the actor's ftview becomes that tview followed by the observation
+# after it, and the `ta` tree of u becomes the node (u's tree, the actor's
+# tree, action).
 def _last_p(profile, ai, moved, senders, after):
-    action = profile.system.actions[ai]
-    purges = profile.purges
-    return [purges[u] + (action,) for u in moved]
+    table, purges = profile.table, profile.purges
+    return [table.setdefault((purges[u], ai), len(table)) for u in moved]
 
 
 def _last_ip(profile, ai, moved, senders, after):
@@ -118,28 +118,24 @@ def _last_ip(profile, ai, moved, senders, after):
 
 
 def _last_ta(profile, ai, moved, senders, after):
-    # The child's tree of u would be the node (u's tree, the actor's tree,
-    # action).  Its lookup key stands in for it while it is not consed.  That
-    # is exact only because the last level conses no node, so no trace of it
-    # can find the node present after another found it absent; the one key
-    # `bounded_check` reads there otherwise is a parent's, consed a level up.
-    system = profile.system
-    vec = profile.ta_vec
-    sent, action = vec[system._dom[ai]], system.actions[ai]
-    return [_peek_node(system, vec[u], sent, action) for u in moved]
+    table, vec = profile.table, profile.ta_vec
+    sent = vec[profile.system._dom[ai]]
+    return [table.setdefault((vec[u], sent, ai), len(table)) for u in moved]
 
 
 def _last_transmitted(immediate, profile, ai, moved, senders, after):
-    system = profile.system
-    action, d = system.actions[ai], system._dom[ai]
-    acted = profile.views[d] + ((ACT, action),)
+    table = profile.table
+    d = profile.system._dom[ai]
+    acted = table.setdefault((profile.views[d], ai), len(table))
     tviews = profile.tviews
     sent = tviews = tviews[:d] + (acted,) + tviews[d + 1:]
     if immediate:
         ftviews = profile.ftviews
-        sent = ftviews[:d] + (acted + ((OBS, after[d]),),) + ftviews[d + 1:]
+        seen = table.setdefault((acted, after[d]), len(table))
+        sent = ftviews[:d] + (seen,) + ftviews[d + 1:]
     purges = profile.purges
-    return [(purges[u] + (action,), tviews[u], *map(sent.__getitem__, senders[u]))
+    return [(table.setdefault((purges[u], ai), len(table)), tviews[u],
+             *map(sent.__getitem__, senders[u]))
             for u in moved]
 
 
@@ -152,6 +148,21 @@ def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]
     return _KEYS[notion](profile, ui, senders)
 
 
+def _decode_transmitted(profile, key):
+    return (profile.actions_of(key[0]), *map(profile.view_of, key[1:]))
+
+
+# A key read back from the profile's intern table into the values the
+# definitional functions return, so that keys from separate tables compare.
+_DECODE = {
+    "p": TraceProfile.actions_of,
+    "ip": lambda profile, key: key,
+    "ta": TraceProfile.tree_of,
+    "to": _decode_transmitted,
+    "ito": _decode_transmitted,
+}
+
+
 def trace_key(system: System, notion: str, u: str, alpha) -> object:
     """An opaque key whose equality captures what `u` may know after `alpha`
     under the given notion.
@@ -162,7 +173,7 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     action (`tview`) and the views transmitted by every other domain permitted
     to interfere with `u`: their `tview` under `to`, their `ftview` under
     `ito`.  Keys are equal exactly when the corresponding information trees
-    are.
+    are.  They are the bounded scan's keys, decoded from its intern table.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
@@ -170,7 +181,7 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     profile = TraceProfile.start(system, needs=_PROFILE_NEEDS[notion])
     for a in alpha:
         profile = profile.extend(a)
-    return _profile_key(profile, notion, ui, _interfering(system, ui))
+    return _DECODE[notion](profile, _profile_key(profile, notion, ui, _interfering(system, ui)))
 
 
 def _count_traces(n_actions: int, depth: int, budget: int) -> int:
@@ -207,10 +218,12 @@ def bounded_check(
     last level is never extended, so its traces get no profile: their keys
     are computed straight from the parent's profile (`_LAST_KEYS`), and a
     trace tuple is built only for a key class's representative or a
-    reported pair.  A trace's key is computed and looked up only for the
-    domains its last action may interfere with; every other domain keeps its
-    parent's key and, the parent having passed, clashes exactly when its
-    observation changed.
+    reported pair.  Every profile and last-level key interns its components
+    in the one table the root profile made, so keys stay ints or short int
+    tuples at any depth, and the system is left untouched.  A trace's key is
+    computed and looked up only for the domains its last action may
+    interfere with; every other domain keeps its parent's key and, the
+    parent having passed, clashes exactly when its observation changed.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")

@@ -189,29 +189,13 @@ def _node(system: System, left: InfoTree, mid: InfoTree, action: str) -> InfoTre
     return node
 
 
-def _peek_node(system: System, left: InfoTree, mid: InfoTree, action: str):
-    """The consed node `_node` would return if it exists, else its table key;
-    nothing is added to the table.
-
-    The key equals only the key of a structurally equal tree and never a
-    node, so it stands in for the node exactly while the node is not created.
-    """
-    key = ("N", id(left), id(mid), action)
-    return system._trees.get(key, key)
-
-
-def _eps_vector(system: System) -> tuple[InfoTree, ...]:
-    e = _leaf(system, EPSILON)
-    return (e,) * len(system.policy.domains)
-
-
 def ta(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     """Maximal information `u` may hold about past actions: every action of an
     interfering domain adds that domain's own maximal information at the time,
     plus the fact that the action happened."""
     ui, idxs = _indices(system, u, alpha)
     may, dom, names = system._may, system._dom, system.actions
-    vec = list(_eps_vector(system))
+    vec = [_leaf(system, EPSILON)] * len(system.policy.domains)
     for a in idxs:
         d = dom[a]
         transmitted = vec[d]
@@ -289,10 +273,9 @@ class TraceProfile:
     action prefix.
 
     `step(ai)` extends it by the action of index ai (`extend` by its name) in
-    O(|D|) tuple work, plus copies of the trace and of the views that grow:
-    the actor's and those of domains whose observation changed.  A caller
-    that needs only some keys of the extended trace can read them off this
-    profile instead, as the bounded scan does for its last level.
+    O(|D|) work plus a copy of the trace.  A caller that needs only some keys
+    of the extended trace can read them off this profile instead, as the
+    bounded scan does for its last level.
 
     `needs` selects the tracked components; untracked ones stay None.  Each
     is an incremental recurrence for one definitional function above
@@ -300,6 +283,16 @@ class TraceProfile:
     checks each against its function.  The `to`/`ito` trees are not tracked:
     only their own definitional walk builds them, so the flattened keys that
     stand in for them are compared against an independent definition.
+
+    Purges, views, tviews, ftviews and `ta` trees are held as int ids in an
+    intern table that `start` creates and every profile stepped from it
+    shares.  A sequence is a trie node, id(seq + (e,)) = table[(id(seq), e)],
+    whose elements are action indices and, in views, observation tokens; a
+    `ta` node is table[(left id, transmitted id, action index)].  Id 0 is
+    both the empty sequence and the empty-history tree.  Equal ids mean equal
+    components only within one table, so keys of profiles from different
+    `start` calls must be decoded (`actions_of`, `view_of`, `tree_of`) before
+    they are compared.
 
     The `ipurge` component keeps, per domain u, an int bitmask of the trace
     positions that a permitted chain links to u; `ipurge(ui)` reads the
@@ -310,14 +303,15 @@ class TraceProfile:
     """
 
     __slots__ = (
-        "system", "state", "trace",
+        "system", "table", "state", "trace",
         "purges", "ipurge_masks", "views", "tviews", "ftviews",
-        "ta_vec",
+        "ta_vec", "_masked",
     )
 
-    def __init__(self, system, state, trace, purges, ipurge_masks, views, tviews,
-                 ftviews, ta_vec):
+    def __init__(self, system, table, state, trace, purges, ipurge_masks, views,
+                 tviews, ftviews, ta_vec):
         self.system = system
+        self.table = table
         self.state = state
         self.trace = trace
         self.purges = purges
@@ -326,6 +320,7 @@ class TraceProfile:
         self.tviews = tviews
         self.ftviews = ftviews
         self.ta_vec = ta_vec
+        self._masked = {}
 
     @classmethod
     def start(cls, system: System, needs: Iterable[str] = _NEED_KEYS) -> "TraceProfile":
@@ -337,17 +332,19 @@ class TraceProfile:
             needs = needs | {"views"}
         nd = len(system.policy.domains)
         s0 = system.state_index(system.initial)
-        obs0 = system._obs[s0]
+        table = {None: 0}  # id 0: the empty sequence and the empty-history tree
+        views = tuple([table.setdefault((0, t), len(table)) for t in system._obs[s0]])
         return cls(
             system,
+            table,
             s0,
             (),
-            ((),) * nd if "purge" in needs else None,
+            (0,) * nd if "purge" in needs else None,
             (0,) * nd if "ipurge" in needs else None,
-            tuple(((OBS, t),) for t in obs0) if "views" in needs else None,
-            ((),) * nd if "tview" in needs else None,
-            tuple(((OBS, t),) for t in obs0) if "ftview" in needs else None,
-            _eps_vector(system) if "ta" in needs else None,
+            views if "views" in needs else None,
+            (0,) * nd if "tview" in needs else None,
+            views if "ftview" in needs else None,
+            (0,) * nd if "ta" in needs else None,
         )
 
     def extend(self, action: str) -> "TraceProfile":
@@ -356,8 +353,7 @@ class TraceProfile:
 
     def step(self, ai: int) -> "TraceProfile":
         """The profile of the trace extended by the action of index `ai`."""
-        sys = self.system
-        action = sys.actions[ai]
+        sys, table = self.system, self.table
         d = sys._dom[ai]
         row = sys._may[d]
         state = sys._step[self.state][ai]
@@ -365,7 +361,8 @@ class TraceProfile:
 
         purges = self.purges
         if purges is not None:
-            purges = tuple([p + (action,) if r else p for p, r in zip(purges, row)])
+            purges = tuple([table.setdefault((p, ai), len(table)) if r else p
+                            for p, r in zip(purges, row)])
 
         masks = self.ipurge_masks
         if masks is not None:
@@ -377,14 +374,14 @@ class TraceProfile:
             # The actor's view with its action appended is also its new tview.
             # Every view ends in its domain's current token, so `_absorb`
             # grows only the actor's view and those whose token changed.
-            acted = views[d] + ((ACT, action),)
+            acted = table.setdefault((views[d], ai), len(table))
             grown = list(views)
-            grown[d] = acted + ((OBS, obs[d]),)
+            grown[d] = table.setdefault((acted, obs[d]), len(table))
             before = sys._obs[self.state]
             if obs != before:
                 for v, o in enumerate(obs):
                     if o != before[v] and v != d:
-                        grown[v] = views[v] + ((OBS, o),)
+                        grown[v] = table.setdefault((views[v], o), len(table))
             views = tuple(grown)
 
         tviews = self.tviews
@@ -398,11 +395,11 @@ class TraceProfile:
         ta_vec = self.ta_vec
         if ta_vec is not None:
             transmitted = ta_vec[d]
-            ta_vec = tuple([_node(sys, t, transmitted, action) if r else t
+            ta_vec = tuple([table.setdefault((t, transmitted, ai), len(table)) if r else t
                             for t, r in zip(ta_vec, row)])
 
         return TraceProfile(
-            sys, state, self.trace + (action,),
+            sys, table, state, self.trace + (sys.actions[ai],),
             purges, masks, views, tviews, ftviews, ta_vec,
         )
 
@@ -412,5 +409,55 @@ class TraceProfile:
         return self.masked(self.ipurge_masks[ui])
 
     def masked(self, mask: int) -> tuple[str, ...]:
-        """The actions of the trace at the positions set in `mask`."""
-        return tuple([a for i, a in enumerate(self.trace) if mask >> i & 1])
+        """The actions of the trace at the positions set in `mask`, memoised
+        per mask."""
+        got = self._masked.get(mask)
+        if got is None:
+            got = self._masked[mask] = tuple(
+                [a for i, a in enumerate(self.trace) if mask >> i & 1])
+        return got
+
+    # -- decoding interned ids -------------------------------------------
+
+    def _nodes(self) -> dict:
+        return {i: key for key, i in self.table.items()}
+
+    def _elements(self, i: int) -> list:
+        nodes, out = self._nodes(), []
+        while i:
+            i, e = nodes[i]
+            out.append(e)
+        out.reverse()
+        return out
+
+    def actions_of(self, i: int) -> tuple[str, ...]:
+        """The action names of the interned action sequence `i` (a purge)."""
+        names = self.system.actions
+        return tuple([names[e] for e in self._elements(i)])
+
+    def view_of(self, i: int) -> tuple:
+        """The interned view, tview or ftview `i` as the tagged tuple `view`
+        returns: an int element is an action, a str one an observation."""
+        names = self.system.actions
+        return tuple([(ACT, names[e]) if isinstance(e, int) else (OBS, e)
+                      for e in self._elements(i)])
+
+    def tree_of(self, i: int) -> InfoTree:
+        """The interned `ta` tree `i` as the hash-consed tree `ta` returns."""
+        system, nodes = self.system, self._nodes()
+        names = system.actions
+        trees = {0: _leaf(system, EPSILON)}
+        stack = [i]
+        while stack:
+            j = stack[-1]
+            if j in trees:
+                stack.pop()
+                continue
+            left, mid, ai = nodes[j]
+            pending = [c for c in (left, mid) if c not in trees]
+            if pending:
+                stack += pending
+            else:
+                stack.pop()
+                trees[j] = _node(system, trees[left], trees[mid], names[ai])
+        return trees[i]

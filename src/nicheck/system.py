@@ -27,6 +27,14 @@ def _bad_name(name) -> bool:
     return not isinstance(name, str) or "#" in name or name.split() != [name]
 
 
+def _known(name, names) -> bool:
+    """`name in names`, except that an unhashable name is never known."""
+    try:
+        return name in names
+    except TypeError:
+        return False
+
+
 class Policy:
     """Reflexive interference relation over an ordered set of domains.
 
@@ -39,18 +47,18 @@ class Policy:
 
     def __init__(self, domains: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.domains = tuple(domains)
-        self._index = {d: i for i, d in enumerate(self.domains)}
-        if len(self._index) != len(self.domains):
-            raise InputError("duplicate domain declaration")
         for name in self.domains:
             if _bad_name(name):
                 raise InputError(f"bad domain name {name!r}")
+        self._index = {d: i for i, d in enumerate(self.domains)}
+        if len(self._index) != len(self.domains):
+            raise InputError("duplicate domain declaration")
         edges = tuple(edges)
         for edge in edges:
             if not (isinstance(edge, tuple) and len(edge) == 2):
                 raise InputError(f"interference edge {edge!r}: not a (domain, domain) pair")
             u, v = edge
-            if u not in self._index or v not in self._index:
+            if not (_known(u, self._index) and _known(v, self._index)):
                 raise InputError(f"interference edge ({u}, {v}) names an undeclared domain")
         self.edges = frozenset(edges) | frozenset((d, d) for d in self.domains)
 
@@ -108,10 +116,10 @@ class System:
     Systems are immutable; the rows of the step and observation tables are
     tuples.  The reachable states and their BFS tree are computed on first
     use and kept; every witness prefix is a walk up that tree.  Systems may
-    be shared freely across threads, with one caveat: the internal
-    structural-sharing table for information trees is not locked, so
-    tree-building semantics should be driven from one thread per system at
-    a time.
+    be shared freely across threads, with one caveat: the definitional tree
+    functions (`ta`, `to`, `ito`, and `trace_key` under `ta`) hash-cons into
+    a per-system table that is not locked, so drive them from one thread per
+    system at a time.  Bounded scans keep their own tables.
     """
 
     def __init__(
@@ -141,10 +149,16 @@ class System:
 
     def _check(self) -> list[str]:
         out: list[str] = []
-        for s in self.states:
+        named = self.states
+        for s in named:
             if _bad_name(s):
                 out.append(f"bad state name {s!r}")
-        if len(set(self.states)) != len(self.states):
+        try:
+            states = set(named)
+        except TypeError:  # an unhashable name, reported above as bad
+            named = [s for s in named if isinstance(s, str)]
+            states = set(named)
+        if len(states) != len(named):
             out.append("duplicate state declaration")
         if not self.states:
             out.append("no states declared")
@@ -156,17 +170,17 @@ class System:
         if len(set(self.actions)) != len(self.actions):
             out.append("duplicate action declaration")
         for a, d in self.action_domain.items():
-            if d not in self.policy._index:
+            if not _known(d, self.policy._index):
                 out.append(f"action {a}: unknown domain {d!r}")
-        states = set(self.states)
         for key, t in self.transitions.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 out.append(f"transition key {key!r}: not a (state, action) pair")
                 continue
             s, a = key
-            for q, what in ((s, "source"), (t, "target")):
-                if q not in states:
-                    out.append(f"transition {s} --{a}--> {t}: unknown {what} state")
+            if s not in states:
+                out.append(f"transition {s} --{a}--> {t}: unknown source state")
+            if not _known(t, states):
+                out.append(f"transition {s} --{a}--> {t}: unknown target state")
             if a not in self.action_domain:
                 out.append(f"transition {s} --{a}--> {t}: unknown action")
         for key, token in self.observations.items():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,46 @@ def corpus_params(count, seed, max_states=6, max_actions=4, max_domains=3, obs_t
             )
         )
     return out
+
+
+def hidden_bit_system(seed):
+    """A seeded machine that only L observes, and whose observation changes
+    only at L's own actions.
+
+    The policy is fig5's or fig6's.  Every action of another domain sets,
+    clears or flips one of a few hidden bits; every action of L shows the
+    token that a seeded table assigns to that action and the current bits.
+    A violation therefore always falls on L at one of L's actions, which
+    moves every key of L.
+    """
+    rng = random.Random(seed)
+    policy = rng.choice([nc.fixture("fig5").policy, nc.fixture("fig6").policy])
+    nbits = rng.randint(1, 3)
+    actions, effects = {}, {}
+    for d in policy.domains:
+        for k in range(1 if d != "L" or rng.random() < 0.5 else 2):
+            a = f"{d.lower()}{k}"
+            actions[a] = d
+            effects[a] = (rng.choice(("set", "clear", "flip")), rng.randrange(nbits))
+    shows = {(a, bits): rng.choice(("o0", "o1"))
+             for a, d in actions.items() if d == "L"
+             for bits in itertools.product((0, 1), repeat=nbits)}
+
+    def step(state, a):
+        bits, shown = state
+        if actions[a] == "L":
+            return bits, shows[a, bits]
+        op, i = effects[a]
+        bit = {"set": 1, "clear": 0, "flip": 1 - bits[i]}[op]
+        return bits[:i] + (bit,) + bits[i + 1:], shown
+
+    def obs(state, d):
+        return state[1] if d == "L" else nc.NULL_OBS
+
+    def name(state):
+        return "q" + "".join(map(str, state[0])) + state[1]
+
+    return nc.System.from_functions(policy, actions, ((0,) * nbits, "o0"), step, obs, name)
 
 
 def transitive_closure(policy):

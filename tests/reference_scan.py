@@ -69,12 +69,14 @@ def bounded_check(
         return None
 
     actions = system.actions
+    # One root for every length: keys are interned ids, comparable only
+    # between profiles stepped from the same root.
+    root = TraceProfile.start(system, needs=needs)
 
     def scan(length: int) -> Optional[BoundedVerdict]:
         # Depth-first over the traces of exactly `length` actions, in action
         # declaration order.  The stack holds each open prefix with the index
         # of the next action to try, so depth is not bounded by recursion.
-        root = TraceProfile.start(system, needs=needs)
         if length == 0:
             return check(root)
         stack = [(root, 0)]

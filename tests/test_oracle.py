@@ -7,9 +7,9 @@ import pytest
 
 import nicheck as nc
 import reference_scan
-from conftest import corpus_params, random_trace
+from conftest import corpus_params, hidden_bit_system, random_trace
 from nicheck.oracle import _interfering, _LAST_KEYS, _profile_key, _PROFILE_NEEDS
-from nicheck.semantics import InfoTree, TraceProfile
+from nicheck.semantics import TraceProfile
 
 
 class TestTraceKey:
@@ -112,12 +112,17 @@ class TestBoundedCheck:
         assert not nc.bounded_check(s, "ip", 300).insecure
         assert calls == 299
 
-    def test_last_level_conses_no_tree_nodes(self):
-        # Only traces shorter than the depth are stepped, so only their trees
-        # are consed; stepping the last level too would leave 23 216 nodes.
+    def test_scan_leaves_system_trees_empty(self):
+        # The scan interns its trees in a table of its own; only the
+        # definitional tree functions write the system's shared one.
         s = nc.fixture("pcp_demo")
         assert not nc.bounded_check(s, "ta", 5).insecure
-        assert len(s._trees) == 3_265
+        assert s._trees == {}
+        nc.ta(s, "watcher", s.actions)
+        consed = dict(s._trees)
+        for notion in nc.NOTIONS:
+            nc.bounded_check(s, notion, 3)
+        assert s._trees == consed
 
     @staticmethod
     def _reference_ip_scan(s, depth):
@@ -230,6 +235,35 @@ class TestFrontierScanIdentity:
         assert moved == set(nc.NOTIONS)
 
 
+class TestMovedDomainViolations:
+    """On machines where only L observes, and only at its own actions, every
+    first violation falls on a domain whose keys the later trace's last
+    action moves: the keys `bounded_check` interns afresh for each trace."""
+
+    def test_verdicts_equal_reference_scan(self):
+        moved, unmoved = Counter(), Counter()
+        for seed in range(100):
+            s = hidden_bit_system(seed)
+            for notion in nc.NOTIONS:
+                got = nc.bounded_check(s, notion, 4)
+                want = reference_scan.bounded_check(s, notion, 4)
+                assert repr(got) == repr(want), (seed, notion)
+                if not want.insecure:
+                    continue
+                # Again at the later trace's length, where it is keyed on the
+                # last level, from its parent.
+                last = len(want.beta)
+                got = nc.bounded_check(s, notion, last)
+                assert repr(got) == repr(want), (seed, notion, last)
+                actor = s._dom[s.action_index(want.beta[-1])]
+                if s._may[actor][s.policy.index(want.domain)]:
+                    moved[notion] += 1
+                else:
+                    unmoved[notion] += 1
+        assert all(moved[notion] >= 20 for notion in nc.NOTIONS), moved
+        assert not unmoved
+
+
 class TestLastLevelKeys:
     """The keys `bounded_check` computes for the last level straight from the
     parent profile split traces into the classes that the keys of the stepped
@@ -245,9 +279,10 @@ class TestLastLevelKeys:
 
     @staticmethod
     def classes(s, notion, depth):
-        """(domain, key from the parent, key of the stepped child, True) for
-        every trace of length `depth`, and (domain, key, key, False) for every
-        shorter one."""
+        """(domain, key from the parent, key of the stepped child, n) for
+        every trace of length `depth`, where n is the size of the intern table
+        before the first such key was made, and (domain, key, key, None) for
+        every shorter trace."""
         nd = len(s.policy.domains)
         senders = [_interfering(s, u) for u in range(nd)]
         frontier = [TraceProfile.start(s, needs=_PROFILE_NEEDS[notion])]
@@ -256,11 +291,12 @@ class TestLastLevelKeys:
             for profile in frontier:
                 for u in range(nd):
                     k = _profile_key(profile, notion, u, senders[u])
-                    rows.append((u, k, k, False))
+                    rows.append((u, k, k, None))
             if length < depth - 1:
                 frontier = [p.step(ai) for p in frontier for ai in range(len(s.actions))]
-        # All parent-made keys come first: stepping a child conses the very
-        # tree nodes whose absence the `ta` lookup tuple stands for.
+        # All parent-made keys come first, so an id below `made` is a key
+        # that a shorter trace already has, and one above it a new key.
+        made = len(frontier[0].table)
         last = []
         for profile in frontier:
             for ai in range(len(s.actions)):
@@ -271,24 +307,24 @@ class TestLastLevelKeys:
         for profile, ai, moved, keys in last:
             child = profile.step(ai)
             for u, k in zip(moved, keys):
-                rows.append((u, k, _profile_key(child, notion, u, senders[u]), True))
+                rows.append((u, k, _profile_key(child, notion, u, senders[u]), made))
         return rows
 
     def test_last_keys_partition_like_stepped_children(self):
-        consed = probes = 0
+        shared = new = 0
         for s in self.systems():
             depth = 4 if len(s.actions) <= 4 else 3
             for notion in nc.NOTIONS:
                 forward, backward = {}, {}
-                for u, k, ref, last in self.classes(s, notion, depth):
+                for u, k, ref, made in self.classes(s, notion, depth):
                     assert forward.setdefault((u, k), ref) == ref, notion
                     assert backward.setdefault((u, ref), k) == k, notion
-                    if notion == "ta" and last:
-                        if isinstance(k, InfoTree):
-                            consed += 1
+                    if notion == "ta" and made is not None:
+                        if k < made:
+                            shared += 1
                         else:
-                            probes += 1
-        assert consed >= 1000 and probes >= 1000
+                            new += 1
+        assert shared >= 1000 and new >= 1000
 
 
 class TestKeySkipInvariance:

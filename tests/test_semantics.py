@@ -229,12 +229,12 @@ class TestTraceProfile:
                 prof = prof.extend(a)
             assert prof.state == s.state_index(nc.run(s, s.initial, alpha))
             for i, d in enumerate(s.policy.domains):
-                assert prof.views[i] == nc.view(s, d, alpha)
-                assert prof.tviews[i] == nc.tview(s, d, alpha)
-                assert prof.ftviews[i] == nc.ftview(s, d, alpha)
-                assert prof.purges[i] == nc.purge(s, d, alpha)
+                assert prof.view_of(prof.views[i]) == nc.view(s, d, alpha)
+                assert prof.view_of(prof.tviews[i]) == nc.tview(s, d, alpha)
+                assert prof.view_of(prof.ftviews[i]) == nc.ftview(s, d, alpha)
+                assert prof.actions_of(prof.purges[i]) == nc.purge(s, d, alpha)
                 assert prof.ipurge(i) == nc.ipurge(s, d, alpha)
-                assert prof.ta_vec[i] is nc.ta(s, d, alpha)
+                assert prof.tree_of(prof.ta_vec[i]) is nc.ta(s, d, alpha)
 
     def test_untracked_components_stay_none(self, fig5):
         prof = TraceProfile.start(fig5, needs=("ta",)).extend("h")

@@ -256,6 +256,38 @@ class TestValidate:
             "observation for (s9, X): bad token 'two words'",
         ]
 
+    @pytest.mark.parametrize("kwargs, diagnostics", [
+        ({"states": (["s0"],)},
+         ["bad state name ['s0']", "initial state 's0' is not declared"]),
+        ({"transitions": {("s0", "a"): ["s0"]}},
+         ["transition s0 --a--> ['s0']: unknown target state"]),
+        ({"actions": {"a": ["A"]}}, ["action a: unknown domain ['A']"]),
+    ])
+    def test_unhashable_name_is_diagnosed(self, kwargs, diagnostics):
+        assert _rejected(**kwargs) == diagnostics
+
+    def test_unhashable_names_leave_every_other_problem_reported(self):
+        assert _rejected(
+            states=(["s0"], "s1", "s1"), initial="s1", actions={"a": ["A"]},
+            transitions={("s1", "a"): ["s1"], ("s9", "a"): "s1"},
+        ) == [
+            "bad state name ['s0']",
+            "duplicate state declaration",
+            "action a: unknown domain ['A']",
+            "transition s1 --a--> ['s1']: unknown target state",
+            "transition s9 --a--> s1: unknown source state",
+        ]
+
+    @pytest.mark.parametrize("domains, edges, diagnostic", [
+        ((["A"], "B"), (), "bad domain name ['A']"),
+        (("A", "B"), ((["A"], "B"),), "interference edge (['A'], B) names an undeclared domain"),
+        (("A", "B"), (("A", ["B"]),), "interference edge (A, ['B']) names an undeclared domain"),
+    ])
+    def test_unhashable_policy_name_is_diagnosed(self, domains, edges, diagnostic):
+        with pytest.raises(nc.InputError) as err:
+            nc.Policy(domains, edges)
+        assert list(err.value.diagnostics) == [diagnostic]
+
     def test_bad_domain_name(self):
         with pytest.raises(nc.InputError) as err:
             nc.Policy(("A", "B C"))
