@@ -7,6 +7,7 @@ to the requested depth (bounded checks only), 3 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,7 +24,8 @@ _DECIDERS = {"p": decide_p, "ip": decide_ip, "ta": decide_ta}
 
 
 def _load(path: str) -> System:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which some editors write.
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_system(handle.read())
 
 
@@ -84,7 +86,10 @@ def linear_fit_max_ratio(results) -> float:
     return worst
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    leaves it unchanged, even when the arguments are rejected."""
     parser = argparse.ArgumentParser(
         prog="nicheck",
         description="Decide or boundedly check information-flow security of "

@@ -19,6 +19,18 @@ from .errors import InputError
 from .system import NULL_OBS, Policy, System
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, each ended by LF, CR LF or CR.
+
+    These are the line ends that text-mode `open()` translates.
+    `str.splitlines` would also break at a form feed or another Unicode
+    separator, even inside a comment.  A trailing empty line is harmless.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_system(text: str) -> System:
     """Parse a system file; raises InputError carrying line-numbered
     diagnostics when anything is wrong."""
@@ -33,76 +45,87 @@ def parse_system(text: str) -> System:
     observations: dict[tuple[str, str], str] = {}
     diags: list[str] = []
 
-    def arity(n, fields, what):
-        if len(fields) != n:
-            diags.append(f"line {lineno}: '{what}' takes {n - 1} arguments")
-            return False
-        return True
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    # One flat loop, its branches in order of how often a file uses them.
+    for lineno, raw in enumerate(_lines(text), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "domain":
-            if arity(2, fields, kind):
-                if fields[1] in domains:
-                    diags.append(f"line {lineno}: duplicate domain {fields[1]!r}")
-                else:
-                    domains[fields[1]] = None
-        elif kind == "interferes":
-            if arity(3, fields, kind):
-                u, v = fields[1], fields[2]
-                missing = [d for d in (u, v) if d not in domains]
-                if missing:
-                    diags.append(f"line {lineno}: unknown domain {missing[0]!r}")
-                else:
-                    edges.append((u, v))
-        elif kind == "action":
-            if arity(3, fields, kind):
-                name, dom = fields[1], fields[2]
-                if name in actions:
-                    diags.append(f"line {lineno}: duplicate action {name!r}")
-                elif dom not in domains:
-                    diags.append(f"line {lineno}: action {name}: unknown domain {dom!r}")
-                else:
-                    actions[name] = dom
+        if kind == "trans":
+            if len(fields) != 4:
+                diags.append(f"line {lineno}: 'trans' takes 3 arguments")
+                continue
+            _, s, a, t = fields
+            key = (s, a)
+            if s not in states:
+                diags.append(f"line {lineno}: unknown state {s!r}")
+            if t not in states:
+                diags.append(f"line {lineno}: unknown state {t!r}")
+            if a not in actions:
+                diags.append(f"line {lineno}: unknown action {a!r}")
+            if key in transitions:
+                diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
+            transitions[key] = t
+        elif kind == "obs":
+            if len(fields) != 4:
+                diags.append(f"line {lineno}: 'obs' takes 3 arguments")
+                continue
+            _, s, d, token = fields
+            key = (s, d)
+            if s not in states:
+                diags.append(f"line {lineno}: unknown state {s!r}")
+            if d not in domains:
+                diags.append(f"line {lineno}: unknown domain {d!r}")
+            if key in observations:
+                diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
+            observations[key] = token
         elif kind == "state":
-            if len(fields) == 2 or (len(fields) == 3 and fields[2] == "init"):
+            n = len(fields)
+            if n == 2 or (n == 3 and fields[2] == "init"):
                 name = fields[1]
                 if name in states:
                     diags.append(f"line {lineno}: duplicate state {name!r}")
                     continue
                 states[name] = None
-                if len(fields) == 3:
+                if n == 3:
                     if initial is not None:
                         diags.append(f"line {lineno}: multiple initial states")
                     else:
                         initial = name
             else:
                 diags.append(f"line {lineno}: expected 'state NAME [init]'")
-        elif kind == "trans":
-            if arity(4, fields, kind):
-                s, a, t = fields[1], fields[2], fields[3]
-                for q in (s, t):
-                    if q not in states:
-                        diags.append(f"line {lineno}: unknown state {q!r}")
-                if a not in actions:
-                    diags.append(f"line {lineno}: unknown action {a!r}")
-                if (s, a) in transitions:
-                    diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
-                transitions[(s, a)] = t
-        elif kind == "obs":
-            if arity(4, fields, kind):
-                s, d, token = fields[1], fields[2], fields[3]
-                if s not in states:
-                    diags.append(f"line {lineno}: unknown state {s!r}")
-                if d not in domains:
-                    diags.append(f"line {lineno}: unknown domain {d!r}")
-                if (s, d) in observations:
-                    diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
-                observations[(s, d)] = token
+        elif kind == "action":
+            if len(fields) != 3:
+                diags.append(f"line {lineno}: 'action' takes 2 arguments")
+                continue
+            _, name, dom = fields
+            if name in actions:
+                diags.append(f"line {lineno}: duplicate action {name!r}")
+            elif dom not in domains:
+                diags.append(f"line {lineno}: action {name}: unknown domain {dom!r}")
+            else:
+                actions[name] = dom
+        elif kind == "domain":
+            if len(fields) != 2:
+                diags.append(f"line {lineno}: 'domain' takes 1 arguments")
+                continue
+            name = fields[1]
+            if name in domains:
+                diags.append(f"line {lineno}: duplicate domain {name!r}")
+            else:
+                domains[name] = None
+        elif kind == "interferes":
+            if len(fields) != 3:
+                diags.append(f"line {lineno}: 'interferes' takes 2 arguments")
+                continue
+            _, u, v = fields
+            missing = [d for d in (u, v) if d not in domains]
+            if missing:
+                diags.append(f"line {lineno}: unknown domain {missing[0]!r}")
+            else:
+                edges.append((u, v))
         else:
             diags.append(f"line {lineno}: unknown declaration {kind!r}")
 

@@ -108,7 +108,8 @@ class System:
     """A finite deterministic machine observed per security domain.
 
     A System is valid from construction: the constructor checks every
-    declaration and raises `InputError` whose `diagnostics` lists all the
+    declaration and builds the step and observation tables in the same walk
+    over them, and raises `InputError` whose `diagnostics` lists all the
     problems it found, so no operation needs to check again.  Transitions
     not mentioned default to self-loops and observations not mentioned
     default to the null token.
@@ -138,93 +139,107 @@ class System:
         self.action_domain = dict(actions)
         self.transitions = dict(transitions or {})
         self.observations = dict(observations or {})
-        self.diagnostics: tuple[str, ...] = tuple(self._check())
+        self.diagnostics: tuple[str, ...] = tuple(self._check_and_build())
         self.require_valid()
         self._trees: dict = {}
         self._reach: list[int] | None = None
         self._parent: list[int] = []
-        self._build()
 
-    # -- validation ------------------------------------------------------
+    # -- validation and tables --------------------------------------------
 
-    def _check(self) -> list[str]:
+    def _check_and_build(self) -> list[str]:
+        """Check every declaration and fill the tables in one walk.
+
+        Each declared transition and observation is resolved to indices
+        once; its diagnostics are appended in declaration order, and its
+        table cell is written while no diagnostic has been found.  Returns
+        the diagnostics; the tables are kept only when there are none.
+        """
         out: list[str] = []
-        named = self.states
-        for s in named:
+        states, actions, policy = self.states, self.actions, self.policy
+        for s in states:
             if _bad_name(s):
                 out.append(f"bad state name {s!r}")
+        named = states
         try:
-            states = set(named)
+            sidx = {s: i for i, s in enumerate(named)}
         except TypeError:  # an unhashable name, reported above as bad
             named = [s for s in named if isinstance(s, str)]
-            states = set(named)
-        if len(states) != len(named):
+            sidx = {s: i for i, s in enumerate(named)}
+        if len(sidx) != len(named):
             out.append("duplicate state declaration")
-        if not self.states:
+        if not states:
             out.append("no states declared")
-        elif self.initial not in self.states:
+        elif self.initial not in states:
             out.append(f"initial state {self.initial!r} is not declared")
-        for a in self.actions:
+        for a in actions:
             if _bad_name(a):
                 out.append(f"bad action name {a!r}")
-        if len(set(self.actions)) != len(self.actions):
+        aidx = {a: i for i, a in enumerate(actions)}
+        if len(aidx) != len(actions):
             out.append("duplicate action declaration")
+        didx = policy._index
         for a, d in self.action_domain.items():
-            if not _known(d, self.policy._index):
+            if not _known(d, didx):
                 out.append(f"action {a}: unknown domain {d!r}")
+
+        # Default rows (self-loops, null observations), then one pass over
+        # the declared entries, so no key tuple is built per table cell.
+        na, nd = len(actions), len(policy.domains)
+        step = [[i] * na for i in range(len(states))]
         for key, t in self.transitions.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 out.append(f"transition key {key!r}: not a (state, action) pair")
                 continue
             s, a = key
-            if s not in states:
+            si = sidx.get(s)
+            try:
+                ti = sidx.get(t)
+            except TypeError:  # an unhashable target is never a state
+                ti = None
+            ai = aidx.get(a)
+            if si is None:
                 out.append(f"transition {s} --{a}--> {t}: unknown source state")
-            if not _known(t, states):
+            if ti is None:
                 out.append(f"transition {s} --{a}--> {t}: unknown target state")
-            if a not in self.action_domain:
+            if ai is None:
                 out.append(f"transition {s} --{a}--> {t}: unknown action")
+            if not out:
+                step[si][ai] = ti
+        obs = [[NULL_OBS] * nd for _ in states]
         for key, token in self.observations.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 out.append(f"observation key {key!r}: not a (state, domain) pair")
                 continue
             s, d = key
-            if s not in states:
+            si, di = sidx.get(s), didx.get(d)
+            if si is None:
                 out.append(f"observation for ({s}, {d}): unknown state")
-            if d not in self.policy._index:
+            if di is None:
                 out.append(f"observation for ({s}, {d}): unknown domain")
             if _bad_name(token):
                 out.append(f"observation for ({s}, {d}): bad token {token!r}")
-        return out
+            if not out:
+                obs[si][di] = token
+        if out:
+            return out
 
-    def _build(self) -> None:
-        self._sidx = {s: i for i, s in enumerate(self.states)}
-        self._aidx = {a: i for i, a in enumerate(self.actions)}
-        didx = self.policy._index
-        self._dom = [didx[self.action_domain[a]] for a in self.actions]
-        nd = len(self.policy.domains)
+        self._sidx, self._aidx = sidx, aidx
+        self._step = [tuple(row) for row in step]
+        self._obs = [tuple(row) for row in obs]
+        self._dom = [didx[self.action_domain[a]] for a in actions]
         self._may = [
-            [self.policy.interferes(u, v) for v in self.policy.domains]
-            for u in self.policy.domains
+            [policy.interferes(u, v) for v in policy.domains]
+            for u in policy.domains
         ]
         self._domain_actions: list[list[int]] = [[] for _ in range(nd)]
         for ai, di in enumerate(self._dom):
             self._domain_actions[di].append(ai)
-        # Default rows (self-loops, null observations), then one pass over the
-        # declared entries, so no key tuple is built per table cell.
-        sidx, aidx = self._sidx, self._aidx
-        na = len(self.actions)
-        step = [[i] * na for i in range(len(self.states))]
-        for (s, a), t in self.transitions.items():
-            step[sidx[s]][aidx[a]] = sidx[t]
-        self._step = [tuple(row) for row in step]
-        obs = [[NULL_OBS] * nd for _ in self.states]
-        for (s, d), token in self.observations.items():
-            obs[sidx[s]][didx[d]] = token
-        self._obs = [tuple(row) for row in obs]
+        return out
 
     def require_valid(self) -> None:
-        """Raise `InputError` listing every problem `_check` found; the
-        constructor calls it, so it passes on every System that exists."""
+        """Raise `InputError` listing every problem the constructor found;
+        the constructor calls it, so it passes on every System that exists."""
         if self.diagnostics:
             raise InputError(
                 f"invalid system: {self.diagnostics[0]}", self.diagnostics

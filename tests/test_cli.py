@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nicheck as nc
-from nicheck.cli import linear_fit_max_ratio, main, run_scaling_bench
+from nicheck.cli import _build_parser, linear_fit_max_ratio, main, run_scaling_bench
 
 
 def write_fixture(tmp_path, name):
@@ -45,6 +45,13 @@ class TestCheck:
         path.write_bytes(b"\xff\xfe\x00states s0\n\x80\x81")
         assert main(["check", "--notion", "p", str(path)]) == 3
         assert "UnicodeDecodeError" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.ni"
+        path.write_text(nc.serialize_system(nc.fixture("fig6")), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfdomain ")
+        assert main(["check", "--notion", "ip", str(path)]) == 0
+        assert capsys.readouterr().out == "secure (ip)\n"
 
 
 class TestBounded:
@@ -115,6 +122,12 @@ class TestGenerators:
     def test_usage_error_exits_three(self):
         assert main(["frobnicate"]) == 3
         assert main([]) == 3
+
+    def test_usage_error_leaves_the_shared_parser_usable(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        assert main(["check", "--notion", "zz", "machine.ni"]) == 3
+        assert main(["check", "--notion", "ip", write_fixture(tmp_path, "fig6")]) == 0
+        assert capsys.readouterr().out == "secure (ip)\n"
 
 
 class TestBench:

@@ -1,8 +1,11 @@
+import random
 import time
 
 import pytest
 
 import nicheck as nc
+import reference_fileformat
+from conftest import corpus_params
 
 MINIMAL = "domain H\naction h H\nstate s0 init\n"
 
@@ -111,6 +114,28 @@ class TestParse:
         assert parsed == system
         assert elapsed < 10.0, f"parsing {len(text.splitlines())} lines took {elapsed:.1f} s"
 
+    def test_form_feed_in_a_comment_neither_ends_it_nor_shifts_lines(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system("domain H # page\x0c break\nstate s0 init\nbogus x\n")
+        assert list(err.value.diagnostics) == ["line 3: unknown declaration 'bogus'"]
+
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_lf_cr_lf_and_cr_end_a_line(self, separator):
+        text = f"domain H # a{separator}b c\naction h H\nstate s0 init\nbogus\n"
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text)
+        assert list(err.value.diagnostics) == ["line 4: unknown declaration 'bogus'"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_lf_and_cr_end_lines_like_lf(self, end):
+        text = "domain H\naction h H\nstate s0 init\ntrans s0 h s0\nbogus\n"
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text.replace("\n", end))
+        assert list(err.value.diagnostics) == ["line 5: unknown declaration 'bogus'"]
+        assert nc.parse_system(MINIMAL.replace("\n", end)) == nc.parse_system(MINIMAL)
+
     def test_explicit_reflexive_edge_accepted(self):
         s = nc.parse_system("domain H\ninterferes H H\naction h H\nstate s0 init\n")
         assert s.policy.interferes("H", "H")
@@ -142,3 +167,68 @@ class TestSerialize:
         assert "trans s0 d" not in text  # self-loop
         assert nc.NULL_OBS not in [line.split()[-1] for line in text.splitlines()
                                    if line.startswith("obs ")]
+
+
+def _outcome(parse, text):
+    """What loading `text` gives: the System and its canonical text, or
+    the error message and every diagnostic."""
+    try:
+        system = parse(text)
+    except nc.InputError as err:
+        return "rejected", str(err), err.diagnostics
+    return "accepted", system, nc.serialize_system(system)
+
+
+class TestMutationCorpus:
+    """The flat line loop loads every mutated file exactly as the parser it
+    replaced (`tests/reference_fileformat.py`) does."""
+
+    INJECTED = (
+        "", "   ", "# a comment", "state s0 # trailing", "state zz", "state zz init",
+        "trans s0 a0 s1", "obs s0 L 1", "domain Z", "domain", "interferes H Z",
+        "action zz H", "action h L", "bogus x y", "trans s0", "obs s0 d0 o0 o1",
+        "state s1 init now", "  trans\ts0 a0 s0  ",
+    )
+    ALPHABET = "abcdHLs019 \t#_!"
+
+    @staticmethod
+    def bases():
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems.append(nc.augment_final(nc.fixture("fig8")))
+        systems += [nc.gen_random_system(p) for p in corpus_params(30, seed=71)]
+        return [nc.serialize_system(s).splitlines() for s in systems]
+
+    def mutate(self, rng, lines):
+        lines = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines) + 1)
+            op = rng.choice(("drop", "duplicate", "swap", "corrupt", "inject"))
+            if op == "inject" or not lines:
+                lines.insert(i, rng.choice(self.INJECTED + tuple(lines)))
+                continue
+            i = min(i, len(lines) - 1)
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            elif op == "swap":
+                j = rng.randrange(len(lines))
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                line = lines[i]
+                k = rng.randrange(len(line) + 1)
+                cut = rng.randint(0, 2)
+                lines[i] = line[:k] + rng.choice(self.ALPHABET) + line[k + cut:]
+        return lines
+
+    def test_new_and_reference_parsers_agree(self):
+        rng = random.Random(7103)
+        bases = self.bases()
+        outcomes = []
+        for n in range(1200):
+            text = "\n".join(self.mutate(rng, rng.choice(bases))) + "\n"
+            got = _outcome(nc.parse_system, text)
+            assert got == _outcome(reference_fileformat.parse_system, text), text
+            outcomes.append(got[0])
+        assert outcomes.count("rejected") >= 500
+        assert outcomes.count("accepted") >= 100
