@@ -14,7 +14,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import TraceProfile, ito, to
+from .semantics import TraceProfile, ftview, ipurge, ito, purge, ta, to, tview
 from .system import System, run
 from .verify import Verdict
 
@@ -148,19 +148,7 @@ def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]
     return _KEYS[notion](profile, ui, senders)
 
 
-def _decode_transmitted(profile, key):
-    return (profile.actions_of(key[0]), *map(profile.view_of, key[1:]))
-
-
-# A key read back from the profile's intern table into the values the
-# definitional functions return, so that keys from separate tables compare.
-_DECODE = {
-    "p": TraceProfile.actions_of,
-    "ip": lambda profile, key: key,
-    "ta": TraceProfile.tree_of,
-    "to": _decode_transmitted,
-    "ito": _decode_transmitted,
-}
+_DEFINED = {"p": purge, "ip": ipurge, "ta": ta}
 
 
 def trace_key(system: System, notion: str, u: str, alpha) -> object:
@@ -173,15 +161,20 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     action (`tview`) and the views transmitted by every other domain permitted
     to interfere with `u`: their `tview` under `to`, their `ftview` under
     `ito`.  Keys are equal exactly when the corresponding information trees
-    are.  They are the bounded scan's keys, decoded from its intern table.
+    are.  Each is computed straight from the definitional functions of
+    `semantics`, never from the bounded scan's profiles, so a witness the scan
+    finds is re-checked independently of its recurrences.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
-    ui = system.policy.index(u)
-    profile = TraceProfile.start(system, needs=_PROFILE_NEEDS[notion])
-    for a in alpha:
-        profile = profile.extend(a)
-    return _DECODE[notion](profile, _profile_key(profile, notion, ui, _interfering(system, ui)))
+    alpha = tuple(alpha)
+    if notion in _DEFINED:
+        return _DEFINED[notion](system, u, alpha)
+    domains = system.policy.domains
+    sent = ftview if notion == "ito" else tview
+    return (purge(system, u, alpha), tview(system, u, alpha),
+            *[sent(system, domains[v], alpha)
+              for v in _interfering(system, system.policy.index(u))])
 
 
 def _count_traces(n_actions: int, depth: int, budget: int) -> int:
@@ -398,6 +391,7 @@ def exact_pair_check_ip(system: System) -> Verdict:
 def check_witness_pair(system: System, notion: str, u: str, alpha, beta) -> bool:
     """True when (alpha, beta) genuinely violates the notion for observer u:
     equal security keys but different final observations."""
+    alpha, beta = tuple(alpha), tuple(beta)
     if trace_key(system, notion, u, alpha) != trace_key(system, notion, u, beta):
         return False
     end_a = run(system, system.initial, alpha)

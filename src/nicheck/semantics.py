@@ -280,7 +280,8 @@ class TraceProfile:
     `needs` selects the tracked components; untracked ones stay None.  Each
     is an incremental recurrence for one definitional function above
     (`purge`, `ipurge`, `view`, `tview`, `ftview`, `ta`), and the test suite
-    checks each against its function.  The `to`/`ito` trees are not tracked:
+    checks that two ids of a component are equal exactly when its function's
+    values are.  The `to`/`ito` trees are not tracked:
     only their own definitional walk builds them, so the flattened keys that
     stand in for them are compared against an independent definition.
 
@@ -290,9 +291,10 @@ class TraceProfile:
     whose elements are action indices and, in views, observation tokens; a
     `ta` node is table[(left id, transmitted id, action index)].  Id 0 is
     both the empty sequence and the empty-history tree.  Equal ids mean equal
-    components only within one table, so keys of profiles from different
-    `start` calls must be decoded (`actions_of`, `view_of`, `tree_of`) before
-    they are compared.
+    components only within one table: keys of profiles from different `start`
+    calls do not compare, and nothing turns an id back into its value.
+    `oracle.trace_key` computes its keys from the definitional functions
+    instead, so no witness check reads a profile.
 
     The `ipurge` component keeps, per domain u, an int bitmask of the trace
     positions that a permitted chain links to u; `ipurge(ui)` reads the
@@ -416,48 +418,3 @@ class TraceProfile:
             got = self._masked[mask] = tuple(
                 [a for i, a in enumerate(self.trace) if mask >> i & 1])
         return got
-
-    # -- decoding interned ids -------------------------------------------
-
-    def _nodes(self) -> dict:
-        return {i: key for key, i in self.table.items()}
-
-    def _elements(self, i: int) -> list:
-        nodes, out = self._nodes(), []
-        while i:
-            i, e = nodes[i]
-            out.append(e)
-        out.reverse()
-        return out
-
-    def actions_of(self, i: int) -> tuple[str, ...]:
-        """The action names of the interned action sequence `i` (a purge)."""
-        names = self.system.actions
-        return tuple([names[e] for e in self._elements(i)])
-
-    def view_of(self, i: int) -> tuple:
-        """The interned view, tview or ftview `i` as the tagged tuple `view`
-        returns: an int element is an action, a str one an observation."""
-        names = self.system.actions
-        return tuple([(ACT, names[e]) if isinstance(e, int) else (OBS, e)
-                      for e in self._elements(i)])
-
-    def tree_of(self, i: int) -> InfoTree:
-        """The interned `ta` tree `i` as the hash-consed tree `ta` returns."""
-        system, nodes = self.system, self._nodes()
-        names = system.actions
-        trees = {0: _leaf(system, EPSILON)}
-        stack = [i]
-        while stack:
-            j = stack[-1]
-            if j in trees:
-                stack.pop()
-                continue
-            left, mid, ai = nodes[j]
-            pending = [c for c in (left, mid) if c not in trees]
-            if pending:
-                stack += pending
-            else:
-                stack.pop()
-                trees[j] = _node(system, trees[left], trees[mid], names[ai])
-        return trees[i]

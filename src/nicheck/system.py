@@ -69,7 +69,7 @@ class Policy:
     def index(self, u: str) -> int:
         try:
             return self._index[u]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"unknown domain {u!r}") from None
 
     def __eq__(self, other):
@@ -258,13 +258,13 @@ class System:
     def state_index(self, s: str) -> int:
         try:
             return self._sidx[s]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"unknown state {s!r}") from None
 
     def action_index(self, a: str) -> int:
         try:
             return self._aidx[a]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"unknown action {a!r}") from None
 
     def obs(self, state: str, domain: str) -> str:

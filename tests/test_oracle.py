@@ -394,9 +394,57 @@ class TestCheckWitnessPair:
     def test_identical_traces_never_violate(self, fig5):
         assert not nc.check_witness_pair(fig5, "p", "L", ("h", "d"), ("h", "d"))
 
+    def test_traces_may_be_iterators(self, fig5):
+        # Each trace is read twice, for its key and for its run.
+        assert nc.check_witness_pair(fig5, "p", "L", iter(("h", "d", "l")), iter(("d", "l")))
+
     def test_pcp_generated_pair(self, pcp_demo):
         alpha, beta = nc.pcp_witness(nc.DEMO_INSTANCE, nc.DEMO_SOLUTION)
         assert nc.check_witness_pair(pcp_demo, "to", "watcher", alpha, beta)
+
+    def test_witness_with_nested_lists_is_an_input_error(self, fig5):
+        # A witness read back from JSON may hold lists where names belong.
+        with pytest.raises(nc.InputError, match=r"^unknown action \['h'\]$"):
+            nc.check_witness_pair(fig5, "p", "L", [["h"]], ())
+        with pytest.raises(nc.InputError, match=r"^unknown domain \['L'\]$"):
+            nc.trace_key(fig5, "p", ["L"], ())
+
+    def test_reads_no_trace_profile(self, direct_leak, monkeypatch):
+        # Witnesses are re-checked against the definitional semantics alone,
+        # so a fault in the scan's recurrences cannot hide in the checker.
+        # Every fixture is ip-secure; `direct_leak` gives an ip witness.
+        found = []
+        for s in [nc.fixture(name) for name in nc.FIXTURE_NAMES] + [direct_leak]:
+            for notion, decide in (("p", nc.decide_p), ("ip", nc.decide_ip),
+                                   ("ta", nc.decide_ta)):
+                v = decide(s)
+                if not v.secure:
+                    found.append((s, notion, v.domain, v.alpha, v.beta))
+            for notion in ("to", "ito"):
+                v = nc.bounded_check(s, notion, 5)
+                if v.insecure:
+                    found.append((s, notion, v.domain, v.alpha, v.beta))
+        assert {n for _, n, *_ in found} == set(nc.NOTIONS)
+        found.append((nc.fixture("pcp_demo"), "to", "watcher",
+                      *nc.pcp_witness(nc.DEMO_INSTANCE, nc.DEMO_SOLUTION)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a witness check built a TraceProfile")
+
+        monkeypatch.setattr(TraceProfile, "start", refuse)
+        monkeypatch.setattr(TraceProfile, "step", refuse)
+        for s, notion, u, alpha, beta in found:
+            assert nc.check_witness_pair(s, notion, u, alpha, beta)
+        fig5, alpha = nc.fixture("fig5"), ("h", "d", "l")
+        keys = {notion: nc.trace_key(fig5, notion, "L", alpha) for notion in nc.NOTIONS}
+        assert keys["p"] == ("d", "l") and keys["ip"] == alpha
+        assert keys["ta"] is nc.ta(fig5, "L", alpha)
+        own = (("d", "l"), nc.tview(fig5, "L", alpha))
+        assert keys["to"] == own + (nc.tview(fig5, "D", alpha),)
+        assert keys["ito"] == own + (nc.ftview(fig5, "D", alpha),)
+        for name, notion in (("fig7", "to"), ("fig7", "ito"), ("fig8", "to")):
+            assert not nc.check_witness_pair(nc.fixture(name), notion, "L",
+                                             ("d", "l"), ("h", "d", "l"))
 
     @pytest.mark.parametrize("name, notion", [
         ("fig7", "to"), ("fig7", "ito"), ("fig8", "to"),

@@ -220,21 +220,28 @@ class TestSwappable:
 
 class TestTraceProfile:
     def test_agrees_with_definitional_functions(self):
-        rng = random.Random(41)
+        # Within one intern table, two ids of a component are equal exactly
+        # when its definitional values are: all the bounded scan asks of its
+        # keys.  A set compares InfoTrees by `is`.
         for params in corpus_params(60, seed=41):
             s = nc.gen_random_system(params)
-            alpha = random_trace(rng, s, max_len=6)
-            prof = TraceProfile.start(s)
-            for a in alpha:
-                prof = prof.extend(a)
-            assert prof.state == s.state_index(nc.run(s, s.initial, alpha))
+            level = [TraceProfile.start(s)]
+            profiles = list(level)
+            for _ in range(4):
+                level = [prof.step(ai) for prof in level for ai in range(len(s.actions))]
+                profiles += level
+            for prof in profiles:
+                assert prof.state == s.state_index(nc.run(s, s.initial, prof.trace))
             for i, d in enumerate(s.policy.domains):
-                assert prof.view_of(prof.views[i]) == nc.view(s, d, alpha)
-                assert prof.view_of(prof.tviews[i]) == nc.tview(s, d, alpha)
-                assert prof.view_of(prof.ftviews[i]) == nc.ftview(s, d, alpha)
-                assert prof.actions_of(prof.purges[i]) == nc.purge(s, d, alpha)
-                assert prof.ipurge(i) == nc.ipurge(s, d, alpha)
-                assert prof.tree_of(prof.ta_vec[i]) is nc.ta(s, d, alpha)
+                for ids, defined in (("views", nc.view), ("tviews", nc.tview),
+                                     ("ftviews", nc.ftview), ("purges", nc.purge),
+                                     ("ta_vec", nc.ta)):
+                    pairs = {(getattr(prof, ids)[i], defined(s, d, prof.trace))
+                             for prof in profiles}
+                    assert len(pairs) == len({k for k, _ in pairs}) == \
+                        len({v for _, v in pairs}), (params, d, ids)
+                for prof in profiles:
+                    assert prof.ipurge(i) == nc.ipurge(s, d, prof.trace)
 
     def test_untracked_components_stay_none(self, fig5):
         prof = TraceProfile.start(fig5, needs=("ta",)).extend("h")

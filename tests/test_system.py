@@ -97,6 +97,13 @@ class TestRun:
         with pytest.raises(nc.InputError):
             nc.run(fig5, "nowhere", ())
 
+    def test_unhashable_name_is_an_input_error(self, fig5):
+        # A name read back from JSON may be a list or a dict.
+        with pytest.raises(nc.InputError, match=r"^unknown state \['s0'\]$"):
+            nc.run(fig5, ["s0"], ())
+        with pytest.raises(nc.InputError, match=r"^unknown domain \{\}$"):
+            fig5.obs("s0", {})
+
     def test_split_law(self):
         rng = random.Random(17)
         for params in corpus_params(50, seed=23):
