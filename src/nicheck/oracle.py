@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import BudgetError, InputError
@@ -45,10 +44,8 @@ _PROFILE_NEEDS = {
     # ipurge_u, read off the incrementally kept position mask of u
     "ip": ("ipurge",),
     "ta": ("ta",),
-    # purge_u, tview_u, then tview_v for every other v that may interfere with u
-    "to": ("purge", "tview"),
-    # purge_u, tview_u, then ftview_v for every other v that may interfere with u
-    "ito": ("purge", "tview", "ftview"),
+    "to": ("to_vec",),
+    "ito": ("ito_vec",),
     # tree-valued keys for the partition comparisons, built from the trace
     "to-tree": (),
     "ito-tree": (),
@@ -61,33 +58,16 @@ def _interfering(system: System, ui: int) -> list[int]:
     return [v for v in range(len(system.policy.domains)) if v != ui and may[v][ui]]
 
 
-# The flattened keys hold exactly what the information trees record.  The
-# `to` tree of u holds purge_u and, at each action in it, the view of the
-# acting domain before the action; each such view is a prefix of that domain's
-# final tview, so the final tviews of u and of its senders recover them all.
-# The `ito` tree differs only at other domains' actions, where it holds the
-# view just after the action, a prefix of the sender's ftview.  At u's own
-# actions both trees hold u's view before the action, so u contributes its
-# tview and never its ftview, which would also record the observation after
-# u's last action.
-#
 # Every key of u changes only at actions whose domain may interfere with u:
-# purge_u, the position mask behind ipurge_u and the trees move only
-# where the policy row of the acting domain holds u, and the actor's tview or
-# ftview is part of u's key only when the actor is u or one of its senders.
-# `bounded_check` skips the other domains on the strength of this.
-def _transmitted_key(immediate, profile, ui, senders):
-    # purge_u, tview_u, then each sender's tview, or its ftview when `immediate`
-    sent = profile.ftviews if immediate else profile.tviews
-    return (profile.purges[ui], profile.tviews[ui], *map(sent.__getitem__, senders))
-
-
+# purge_u, the position mask behind ipurge_u and the trees move only where
+# the policy row of the acting domain holds u.  `bounded_check` skips the
+# other domains on the strength of this.
 _KEYS = {
     "p": lambda profile, ui, senders: profile.purges[ui],
     "ip": lambda profile, ui, senders: profile.ipurge(ui),
     "ta": lambda profile, ui, senders: profile.ta_vec[ui],
-    "to": partial(_transmitted_key, False),
-    "ito": partial(_transmitted_key, True),
+    "to": lambda profile, ui, senders: profile.to_vec[ui],
+    "ito": lambda profile, ui, senders: profile.ito_vec[ui],
     "to-tree": lambda profile, ui, senders: to(
         profile.system, profile.system.policy.domains[ui], profile.trace),
     "ito-tree": lambda profile, ui, senders: ito(
@@ -99,11 +79,7 @@ _KEYS = {
 # `moved`, those the action may interfere with, computed from the parent's
 # profile without building the child's.  `after` is the child's observation
 # row.  Each equals `_KEYS[notion](profile.step(ai), u, senders[u])`, its ids
-# interned in the parent's table: purge_u and the position mask of u gain the
-# action, the actor's tview becomes its view followed by the action, under
-# `ito` the actor's ftview becomes that tview followed by the observation
-# after it, and the `ta` tree of u becomes the node (u's tree, the actor's
-# tree, action).
+# interned in the parent's table by the recurrences of `TraceProfile.step`.
 def _last_p(profile, ai, moved, senders, after):
     table, purges = profile.table, profile.purges
     return [table.setdefault((purges[u], ai), len(table)) for u in moved]
@@ -123,25 +99,23 @@ def _last_ta(profile, ai, moved, senders, after):
     return [table.setdefault((vec[u], sent, ai), len(table)) for u in moved]
 
 
-def _last_transmitted(immediate, profile, ai, moved, senders, after):
-    table = profile.table
+def _last_to(profile, ai, moved, senders, after):
+    table, vec = profile.table, profile.to_vec
+    sent = profile.views[profile.system._dom[ai]]
+    return [table.setdefault((vec[u], sent, ai), len(table)) for u in moved]
+
+
+def _last_ito(profile, ai, moved, senders, after):
+    table, vec = profile.table, profile.ito_vec
     d = profile.system._dom[ai]
-    acted = table.setdefault((profile.views[d], ai), len(table))
-    tviews = profile.tviews
-    sent = tviews = tviews[:d] + (acted,) + tviews[d + 1:]
-    if immediate:
-        ftviews = profile.ftviews
-        seen = table.setdefault((acted, after[d]), len(table))
-        sent = ftviews[:d] + (seen,) + ftviews[d + 1:]
-    purges = profile.purges
-    return [(table.setdefault((purges[u], ai), len(table)), tviews[u],
-             *map(sent.__getitem__, senders[u]))
+    sent = profile.views[d]
+    seen = table.setdefault((table.setdefault((sent, ai), len(table)), after[d]), len(table))
+    return [table.setdefault((vec[u], sent if u == d else seen, ai), len(table))
             for u in moved]
 
 
 _LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta,
-              "to": partial(_last_transmitted, False),
-              "ito": partial(_last_transmitted, True)}
+              "to": _last_to, "ito": _last_ito}
 
 
 def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
@@ -161,15 +135,26 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     action (`tview`) and the views transmitted by every other domain permitted
     to interfere with `u`: their `tview` under `to`, their `ftview` under
     `ito`.  Keys are equal exactly when the corresponding information trees
-    are.  Each is computed straight from the definitional functions of
-    `semantics`, never from the bounded scan's profiles, so a witness the scan
-    finds is re-checked independently of its recurrences.
+    are, which the test suite checks in both directions.  Each is computed
+    straight from the definitional functions of `semantics`, never from the
+    bounded scan's profiles, whose `to`/`ito` keys are interned trees; so a
+    witness the scan finds is re-checked against a different representation,
+    independently of the recurrences that found it.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
     alpha = tuple(alpha)
     if notion in _DEFINED:
         return _DEFINED[notion](system, u, alpha)
+    # The flattened keys hold exactly what the information trees record.  The
+    # `to` tree of u holds purge_u and, at each action in it, the view of the
+    # acting domain before the action; each such view is a prefix of that
+    # domain's final tview, so the final tviews of u and of its senders
+    # recover them all.  The `ito` tree differs only at other domains'
+    # actions, where it holds the view just after the action, a prefix of the
+    # sender's ftview.  At u's own actions both trees hold u's view before the
+    # action, so u contributes its tview and never its ftview, which would
+    # also record the observation after u's last action.
     domains = system.policy.domains
     sent = ftview if notion == "ito" else tview
     return (purge(system, u, alpha), tview(system, u, alpha),
@@ -212,14 +197,18 @@ def bounded_check(
     are computed straight from the parent's profile (`_LAST_KEYS`), and a
     trace tuple is built only for a key class's representative or a
     reported pair.  Every profile and last-level key interns its components
-    in the one table the root profile made, so keys stay ints or short int
-    tuples at any depth, and the system is left untouched.  A trace's key is
+    in the one table the root profile made, so every key but an `ip` key is
+    one int at any depth, and the system is left untouched.  A trace's key is
     computed and looked up only for the domains its last action may
     interfere with; every other domain keeps its parent's key and, the
     parent having passed, clashes exactly when its observation changed.
+    `depth` and `budget` must be ints, not bools, or `InputError` is raised.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
+    for name, value in (("depth", depth), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name} must be an int, got {value!r}")
     if depth < 0:
         raise InputError(f"depth must be non-negative, got {depth}")
     n_actions = len(system.actions)

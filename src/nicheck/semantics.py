@@ -265,7 +265,7 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # Incremental per-prefix profile (drives the enumeration oracles)
 # ---------------------------------------------------------------------------
 
-_NEED_KEYS = ("purge", "ipurge", "views", "tview", "ftview", "ta")
+_NEED_KEYS = ("purge", "ipurge", "views", "ta", "to_vec", "ito_vec")
 
 
 class TraceProfile:
@@ -279,22 +279,22 @@ class TraceProfile:
 
     `needs` selects the tracked components; untracked ones stay None.  Each
     is an incremental recurrence for one definitional function above
-    (`purge`, `ipurge`, `view`, `tview`, `ftview`, `ta`), and the test suite
-    checks that two ids of a component are equal exactly when its function's
-    values are.  The `to`/`ito` trees are not tracked:
-    only their own definitional walk builds them, so the flattened keys that
-    stand in for them are compared against an independent definition.
+    (`purge`, `ipurge`, `view`, `ta`, `to`, `ito`), and the test suite checks
+    that two ids of a component are equal exactly when its function's values
+    are.
 
-    Purges, views, tviews, ftviews and `ta` trees are held as int ids in an
-    intern table that `start` creates and every profile stepped from it
-    shares.  A sequence is a trie node, id(seq + (e,)) = table[(id(seq), e)],
-    whose elements are action indices and, in views, observation tokens; a
-    `ta` node is table[(left id, transmitted id, action index)].  Id 0 is
-    both the empty sequence and the empty-history tree.  Equal ids mean equal
-    components only within one table: keys of profiles from different `start`
-    calls do not compare, and nothing turns an id back into its value.
-    `oracle.trace_key` computes its keys from the definitional functions
-    instead, so no witness check reads a profile.
+    Purges, views and trees are held as int ids in an intern table that
+    `start` creates and every profile stepped from it shares.  A sequence is
+    a trie node, id(seq + (e,)) = table[(id(seq), e)], whose elements are
+    action indices and, in views, observation tokens; a tree node is
+    table[(left id, transmitted id, action index)], where an action of d
+    transmits d's `ta` tree, under `to` d's view before the action, and under
+    `ito` d's view after it to every domain but d.  Id 0 is both the empty
+    sequence and every empty-history tree: the `to`/`ito` trees drop their
+    initial-observation leaf, one per domain.  Equal ids mean equal values
+    only within one component of one domain in one table, and nothing turns
+    an id back into its value; `oracle.trace_key` reads the definitional
+    functions instead, so no witness check reads a profile.
 
     The `ipurge` component keeps, per domain u, an int bitmask of the trace
     positions that a permitted chain links to u; `ipurge(ui)` reads the
@@ -306,12 +306,12 @@ class TraceProfile:
 
     __slots__ = (
         "system", "table", "state", "trace",
-        "purges", "ipurge_masks", "views", "tviews", "ftviews",
-        "ta_vec", "_masked",
+        "purges", "ipurge_masks", "views", "ta_vec", "to_vec", "ito_vec",
+        "_masked",
     )
 
     def __init__(self, system, table, state, trace, purges, ipurge_masks, views,
-                 tviews, ftviews, ta_vec):
+                 ta_vec, to_vec, ito_vec):
         self.system = system
         self.table = table
         self.state = state
@@ -319,9 +319,9 @@ class TraceProfile:
         self.purges = purges
         self.ipurge_masks = ipurge_masks
         self.views = views
-        self.tviews = tviews
-        self.ftviews = ftviews
         self.ta_vec = ta_vec
+        self.to_vec = to_vec
+        self.ito_vec = ito_vec
         self._masked = {}
 
     @classmethod
@@ -330,7 +330,7 @@ class TraceProfile:
         unknown = needs - frozenset(_NEED_KEYS)
         if unknown:
             raise InputError(f"unknown profile components {sorted(unknown)}")
-        if needs & {"views", "tview", "ftview"}:
+        if needs & {"to_vec", "ito_vec"}:
             needs = needs | {"views"}
         nd = len(system.policy.domains)
         s0 = system.state_index(system.initial)
@@ -344,9 +344,9 @@ class TraceProfile:
             (0,) * nd if "purge" in needs else None,
             (0,) * nd if "ipurge" in needs else None,
             views if "views" in needs else None,
-            (0,) * nd if "tview" in needs else None,
-            views if "ftview" in needs else None,
             (0,) * nd if "ta" in needs else None,
+            (0,) * nd if "to_vec" in needs else None,
+            (0,) * nd if "ito_vec" in needs else None,
         )
 
     def extend(self, action: str) -> "TraceProfile":
@@ -373,7 +373,6 @@ class TraceProfile:
 
         views = self.views
         if views is not None:
-            # The actor's view with its action appended is also its new tview.
             # Every view ends in its domain's current token, so `_absorb`
             # grows only the actor's view and those whose token changed.
             acted = table.setdefault((views[d], ai), len(table))
@@ -386,23 +385,27 @@ class TraceProfile:
                         grown[v] = table.setdefault((views[v], o), len(table))
             views = tuple(grown)
 
-        tviews = self.tviews
-        if tviews is not None:
-            tviews = tviews[:d] + (acted,) + tviews[d + 1:]
-
-        ftviews = self.ftviews
-        if ftviews is not None:
-            ftviews = ftviews[:d] + (views[d],) + ftviews[d + 1:]
-
         ta_vec = self.ta_vec
         if ta_vec is not None:
             transmitted = ta_vec[d]
             ta_vec = tuple([table.setdefault((t, transmitted, ai), len(table)) if r else t
                             for t, r in zip(ta_vec, row)])
 
+        to_vec = self.to_vec
+        if to_vec is not None:
+            sent = self.views[d]
+            to_vec = tuple([table.setdefault((t, sent, ai), len(table)) if r else t
+                            for t, r in zip(to_vec, row)])
+
+        ito_vec = self.ito_vec
+        if ito_vec is not None:
+            sent, seen = self.views[d], views[d]
+            ito_vec = tuple([table.setdefault((t, sent if v == d else seen, ai), len(table))
+                             if r else t for v, (t, r) in enumerate(zip(ito_vec, row))])
+
         return TraceProfile(
             sys, table, state, self.trace + (sys.actions[ai],),
-            purges, masks, views, tviews, ftviews, ta_vec,
+            purges, masks, views, ta_vec, to_vec, ito_vec,
         )
 
     def ipurge(self, ui: int) -> tuple[str, ...]:

@@ -78,6 +78,11 @@ class TestBoundedCheck:
         with pytest.raises(nc.InputError):
             nc.bounded_check(fig5, "p", -3)
 
+    @pytest.mark.parametrize("args", [(2.0,), ("3",), (2, "10"), (2, None), (True,)])
+    def test_non_int_depth_or_budget_rejected(self, fig5, args):
+        with pytest.raises(nc.InputError, match="must be an int"):
+            nc.bounded_check(fig5, "p", *args)
+
     def test_deep_scan_does_not_recurse(self):
         # One action, so depth 300 is 301 traces; a recursive scan would need
         # a frame per action and overflow the lowered limit.
@@ -327,6 +332,31 @@ class TestLastLevelKeys:
         assert shared >= 1000 and new >= 1000
 
 
+class TestScanKeyRepresentation:
+    def test_scan_keys_are_ints(self, pcp_demo):
+        # Every key but `ip` is one interned int, from a stepped profile and
+        # straight off a parent alike, however deep the trace.
+        s = pcp_demo
+        nd, na = len(s.policy.domains), len(s.actions)
+        senders = [_interfering(s, u) for u in range(nd)]
+        for notion in ("p", "ta", "to", "ito"):
+            level = [TraceProfile.start(s, needs=_PROFILE_NEEDS[notion])]
+            for _ in range(3):
+                level = [p.step(ai) for p in level for ai in range(na)]
+            for profile in level:
+                keys = [_profile_key(profile, notion, u, senders[u]) for u in range(nd)]
+                for ai in range(na):
+                    after = s._obs[s._step[profile.state][ai]]
+                    moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
+                    keys += _LAST_KEYS[notion](profile, ai, moved, senders, after)
+                assert all(type(k) is int for k in keys), notion
+
+    def test_flattened_view_components_are_gone(self, fig5):
+        for needs in (("tview",), ("ftview",)):
+            with pytest.raises(nc.InputError):
+                TraceProfile.start(fig5, needs=needs)
+
+
 class TestKeySkipInvariance:
     def test_unreachable_domains_keep_their_keys(self):
         # An action whose domain may not interfere with u leaves every key of
@@ -467,20 +497,42 @@ class TestTreeKeyRefinement:
         # Equal observation-transmission trees force equal flattened keys
         # (the spine carries the purged trace, the last transmitted view of
         # every sender, the observer included, recovers its action-terminated
-        # view).  The converse holds too; the partition criterion in the
-        # acceptance suite checks it.
+        # view), and equal flattened keys force equal trees (each view the
+        # tree records is a prefix of a final view in the key).  The witness
+        # checker's `trace_key` reads the flattened keys; the scan the trees.
         rng = random.Random(77)
         for params in corpus_params(40, seed=77, max_states=4):
             s = nc.gen_random_system(params)
             u = rng.choice(s.policy.domains)
-            buckets = {}
+            buckets, flats = {}, {}
             for _ in range(40):
                 alpha = random_trace(rng, s, 5)
-                for tree_notion, flat_notion in (("to", "to"), ("ito", "ito")):
-                    tree = getattr(nc, tree_notion)(s, u, alpha)
-                    flat = nc.trace_key(s, flat_notion, u, alpha)
-                    prior = buckets.setdefault((tree_notion, tree), flat)
-                    assert prior == flat
+                for notion in ("to", "ito"):
+                    tree = getattr(nc, notion)(s, u, alpha)
+                    flat = nc.trace_key(s, notion, u, alpha)
+                    assert buckets.setdefault((notion, tree), flat) == flat
+                    assert flats.setdefault((notion, flat), tree) is tree
+
+    def test_flattened_keys_and_trees_partition_fixtures_alike(self):
+        # Every trace up to depth 4 (3 for pcp_demo's 7 actions), every
+        # observer, both directions.
+        merged = 0
+        for name in nc.FIXTURE_NAMES:
+            s = nc.fixture(name)
+            depth = 3 if name == "pcp_demo" else 4
+            traces = [alpha for n in range(depth + 1)
+                      for alpha in itertools.product(s.actions, repeat=n)]
+            for notion in ("to", "ito"):
+                tree_of = getattr(nc, notion)
+                for u in s.policy.domains:
+                    buckets, flats = {}, {}
+                    for alpha in traces:
+                        tree = tree_of(s, u, alpha)
+                        flat = nc.trace_key(s, notion, u, alpha)
+                        assert buckets.setdefault(tree, flat) == flat, (name, notion, u)
+                        assert flats.setdefault(flat, tree) is tree, (name, notion, u)
+                    merged += len(traces) - len(flats)
+        assert merged >= 5000
 
     def test_equal_trees_imply_equal_ipurge_multisets(self):
         # Equal maximal-information trees allow reordering but not changes in

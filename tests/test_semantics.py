@@ -222,7 +222,9 @@ class TestTraceProfile:
     def test_agrees_with_definitional_functions(self):
         # Within one intern table, two ids of a component are equal exactly
         # when its definitional values are: all the bounded scan asks of its
-        # keys.  A set compares InfoTrees by `is`.
+        # keys.  A set compares InfoTrees by `is`.  Every component is
+        # tracked, so the `ta`, `to` and `ito` nodes, whose keys share one
+        # shape, share one table too.
         for params in corpus_params(60, seed=41):
             s = nc.gen_random_system(params)
             level = [TraceProfile.start(s)]
@@ -233,9 +235,9 @@ class TestTraceProfile:
             for prof in profiles:
                 assert prof.state == s.state_index(nc.run(s, s.initial, prof.trace))
             for i, d in enumerate(s.policy.domains):
-                for ids, defined in (("views", nc.view), ("tviews", nc.tview),
-                                     ("ftviews", nc.ftview), ("purges", nc.purge),
-                                     ("ta_vec", nc.ta)):
+                for ids, defined in (("views", nc.view), ("purges", nc.purge),
+                                     ("ta_vec", nc.ta), ("to_vec", nc.to),
+                                     ("ito_vec", nc.ito)):
                     pairs = {(getattr(prof, ids)[i], defined(s, d, prof.trace))
                              for prof in profiles}
                     assert len(pairs) == len({k for k, _ in pairs}) == \
