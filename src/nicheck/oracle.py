@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import TraceProfile, ftview, ipurge, ito, purge, ta, to, tview
+from .semantics import CHILD_KEYS, TraceProfile, ftview, ipurge, purge, ta, tview
 from .system import System, run
 from .verify import Verdict
 
@@ -39,87 +39,10 @@ class BoundedVerdict:
     beta: Optional[tuple[str, ...]] = None
 
 
-_PROFILE_NEEDS = {
-    "p": ("purge",),
-    # ipurge_u, read off the incrementally kept position mask of u
-    "ip": ("ipurge",),
-    "ta": ("ta",),
-    "to": ("to_vec",),
-    "ito": ("ito_vec",),
-    # tree-valued keys for the partition comparisons, built from the trace
-    "to-tree": (),
-    "ito-tree": (),
-}
-
-
 def _interfering(system: System, ui: int) -> list[int]:
     """Domains other than ui that may interfere with ui, declaration order."""
     may = system._may
     return [v for v in range(len(system.policy.domains)) if v != ui and may[v][ui]]
-
-
-# Every key of u changes only at actions whose domain may interfere with u:
-# purge_u, the position mask behind ipurge_u and the trees move only where
-# the policy row of the acting domain holds u.  `bounded_check` skips the
-# other domains on the strength of this.
-_KEYS = {
-    "p": lambda profile, ui, senders: profile.purges[ui],
-    "ip": lambda profile, ui, senders: profile.ipurge(ui),
-    "ta": lambda profile, ui, senders: profile.ta_vec[ui],
-    "to": lambda profile, ui, senders: profile.to_vec[ui],
-    "ito": lambda profile, ui, senders: profile.ito_vec[ui],
-    "to-tree": lambda profile, ui, senders: to(
-        profile.system, profile.system.policy.domains[ui], profile.trace),
-    "ito-tree": lambda profile, ui, senders: ito(
-        profile.system, profile.system.policy.domains[ui], profile.trace),
-}
-
-
-# The keys of the trace `profile.trace + (action ai,)` for the domains in
-# `moved`, those the action may interfere with, computed from the parent's
-# profile without building the child's.  `after` is the child's observation
-# row.  Each equals `_KEYS[notion](profile.step(ai), u, senders[u])`, its ids
-# interned in the parent's table by the recurrences of `TraceProfile.step`.
-def _last_p(profile, ai, moved, senders, after):
-    table, purges = profile.table, profile.purges
-    return [table.setdefault((purges[u], ai), len(table)) for u in moved]
-
-
-def _last_ip(profile, ai, moved, senders, after):
-    system = profile.system
-    action = system.actions[ai]
-    masks = profile.ipurge_masks
-    linked = masks[system._dom[ai]]
-    return [profile.masked(masks[u] | linked) + (action,) for u in moved]
-
-
-def _last_ta(profile, ai, moved, senders, after):
-    table, vec = profile.table, profile.ta_vec
-    sent = vec[profile.system._dom[ai]]
-    return [table.setdefault((vec[u], sent, ai), len(table)) for u in moved]
-
-
-def _last_to(profile, ai, moved, senders, after):
-    table, vec = profile.table, profile.to_vec
-    sent = profile.views[profile.system._dom[ai]]
-    return [table.setdefault((vec[u], sent, ai), len(table)) for u in moved]
-
-
-def _last_ito(profile, ai, moved, senders, after):
-    table, vec = profile.table, profile.ito_vec
-    d = profile.system._dom[ai]
-    sent = profile.views[d]
-    seen = table.setdefault((table.setdefault((sent, ai), len(table)), after[d]), len(table))
-    return [table.setdefault((vec[u], sent if u == d else seen, ai), len(table))
-            for u in moved]
-
-
-_LAST_KEYS = {"p": _last_p, "ip": _last_ip, "ta": _last_ta,
-              "to": _last_to, "ito": _last_ito}
-
-
-def _profile_key(profile: TraceProfile, notion: str, ui: int, senders: list[int]):
-    return _KEYS[notion](profile, ui, senders)
 
 
 _DEFINED = {"p": purge, "ip": ipurge, "ta": ta}
@@ -136,10 +59,11 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     to interfere with `u`: their `tview` under `to`, their `ftview` under
     `ito`.  Keys are equal exactly when the corresponding information trees
     are, which the test suite checks in both directions.  Each is computed
-    straight from the definitional functions of `semantics`, never from the
-    bounded scan's profiles, whose `to`/`ito` keys are interned trees; so a
-    witness the scan finds is re-checked against a different representation,
-    independently of the recurrences that found it.
+    straight from the definitional functions of `semantics`, never from a
+    `TraceProfile`, whose `to`/`ito` keys are interned trees built by
+    `semantics.CHILD_KEYS`; so a witness the bounded scan finds is re-checked
+    against a different representation, independently of the recurrences
+    that found it.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
@@ -194,15 +118,17 @@ def bounded_check(
     shorter than the depth is stepped exactly once, and at most
     |A|^(depth-1) profiles are held, a number the budget already bounds.  The
     last level is never extended, so its traces get no profile: their keys
-    are computed straight from the parent's profile (`_LAST_KEYS`), and a
-    trace tuple is built only for a key class's representative or a
-    reported pair.  Every profile and last-level key interns its components
-    in the one table the root profile made, so every key but an `ip` key is
-    one int at any depth, and the system is left untouched.  A trace's key is
+    come straight off the parent's profile by the notion's recurrence
+    (`semantics.CHILD_KEYS`), the one `TraceProfile.step` uses, and a trace
+    tuple is built only for a key class's representative or a reported
+    pair.  Every profile and last-level key interns its components in the
+    one table the root profile made, so every key but an `ip` key is one int
+    at any depth, and the system is left untouched.  A trace's key is
     computed and looked up only for the domains its last action may
-    interfere with; every other domain keeps its parent's key and, the
-    parent having passed, clashes exactly when its observation changed.
-    `depth` and `budget` must be ints, not bools, or `InputError` is raised.
+    interfere with (`System._moved`); every other domain keeps its parent's
+    key and, the parent having passed, clashes exactly when its observation
+    changed.  `depth` and `budget` must be ints, not bools, or `InputError`
+    is raised.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
@@ -221,21 +147,17 @@ def bounded_check(
 
     domains = system.policy.domains
     nd = len(domains)
-    senders = [_interfering(system, ui) for ui in range(nd)]
-    may, dom, obs, step = system._may, system._dom, system._obs, system._step
-    key, last_keys = _KEYS[notion], _LAST_KEYS[notion]
-    # Per action: the domains whose key it may change (those its domain may
-    # interfere with) and those whose key it leaves as the parent's.
-    moves = []
-    for ai, action in enumerate(system.actions):
-        row = may[dom[ai]]
-        moves.append((ai, action, [u for u in range(nd) if row[u]],
-                      [u for u in range(nd) if not row[u]]))
+    obs, step = system._obs, system._step
+    child_keys = CHILD_KEYS[notion]
+    # Per action: the domains whose key it may change and those whose key it
+    # leaves as the parent's.
+    moves = [(ai, action, moved, [u for u in range(nd) if u not in moved])
+             for ai, (action, moved) in enumerate(zip(system.actions, system._moved))]
 
-    root = TraceProfile.start(system, needs=_PROFILE_NEEDS[notion])
+    root = TraceProfile.start(system, notion)
     tokens = obs[root.state]
     # key -> (observation, representative trace); one table per domain
-    seen: list[dict] = [{key(root, ui, senders[ui]): (tokens[ui], ())} for ui in range(nd)]
+    seen: list[dict] = [{root.key(ui): (tokens[ui], ())} for ui in range(nd)]
     frontier = [root]
     for length in range(1, depth + 1):
         last = length == depth
@@ -256,12 +178,12 @@ def bounded_check(
                             break
                 if last:
                     trace = None
-                    keys = last_keys(parent, ai, moved, senders, after)
+                    keys = child_keys(parent, ai, moved, after)
                 else:
                     child = parent.step(ai)
                     level.append(child)
                     trace = child.trace
-                    keys = [key(child, u, senders[u]) for u in moved]
+                    keys = [child.key(u) for u in moved]
                 for u, k in zip(moved, keys):
                     if u > stop:
                         break
@@ -274,7 +196,7 @@ def bounded_check(
                         return BoundedVerdict(True, None, domains[u], prior[1],
                                               parent.trace + (action,))
                 if stop < nd:
-                    prior = seen[stop][key(parent, stop, senders[stop])]
+                    prior = seen[stop][parent.key(stop)]
                     return BoundedVerdict(True, None, domains[stop], prior[1],
                                           parent.trace + (action,))
         frontier = level

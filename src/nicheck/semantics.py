@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InputError
-from .system import System
+from .system import System, _known
 
 ACT = "a"
 OBS = "o"
@@ -265,153 +265,154 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # Incremental per-prefix profile (drives the enumeration oracles)
 # ---------------------------------------------------------------------------
 
-_NEED_KEYS = ("purge", "ipurge", "views", "ta", "to_vec", "ito_vec")
+# One key recurrence per notion.  CHILD_KEYS[notion](profile, ai, moved,
+# after) gives the keys of the domains in `moved` for the trace
+# `profile.trace + (action ai,)`, read off the parent's profile without
+# building the child's; `after` is the child's observation row.  Ids are
+# interned in the parent's table.  `TraceProfile.step` writes them into the
+# child, and the bounded scan reads its last level straight from them.
+#
+# Every key of u changes only at actions whose domain may interfere with u:
+# purge_u, the position mask behind ipurge_u and the trees move only where
+# the policy row of the acting domain holds u.  So `moved` is
+# `System._moved[ai]`, every other domain keeps its parent's key, and
+# `bounded_check` skips those domains on the strength of this.
+
+
+def _child_p(profile, ai, moved, after):
+    table, keys = profile.table, profile.keys
+    return [table.setdefault((keys[u], ai), len(table)) for u in moved]
+
+
+def _child_ip(profile, ai, moved, after):
+    system = profile.system
+    action = system.actions[ai]
+    masks = profile.keys
+    linked = masks[system._dom[ai]]
+    return [profile.masked(masks[u] | linked) + (action,) for u in moved]
+
+
+def _child_ta(profile, ai, moved, after):
+    table, keys = profile.table, profile.keys
+    sent = keys[profile.system._dom[ai]]
+    return [table.setdefault((keys[u], sent, ai), len(table)) for u in moved]
+
+
+def _child_to(profile, ai, moved, after):
+    table, keys = profile.table, profile.keys
+    sent = profile.views[profile.system._dom[ai]]
+    return [table.setdefault((keys[u], sent, ai), len(table)) for u in moved]
+
+
+def _child_ito(profile, ai, moved, after):
+    table, keys = profile.table, profile.keys
+    d = profile.system._dom[ai]
+    sent = profile.views[d]
+    seen = table.setdefault((table.setdefault((sent, ai), len(table)), after[d]), len(table))
+    return [table.setdefault((keys[u], sent if u == d else seen, ai), len(table))
+            for u in moved]
+
+
+CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_ta,
+              "to": _child_to, "ito": _child_ito}
 
 
 class TraceProfile:
-    """The per-domain trace semantics that the bounded keys read, for one
-    action prefix.
+    """Every domain's key under one notion for one action prefix.
 
-    `step(ai)` extends it by the action of index ai (`extend` by its name) in
-    O(|D|) work plus a copy of the trace.  A caller that needs only some keys
-    of the extended trace can read them off this profile instead, as the
-    bounded scan does for its last level.
+    `start(system, notion)` makes the profile of the empty trace, and
+    `step(ai)` extends a profile by the action of index ai in O(|D|) work
+    plus a copy of the trace.  `key(ui)` is domain ui's key: two keys of
+    one domain from one `start` are equal exactly when the notion's
+    definitional function (`purge`, `ipurge`, `ta`, `to`, `ito`) gives equal
+    values, which the test suite checks in both directions.  `step` and the
+    bounded scan's last level compute keys by the one recurrence
+    `CHILD_KEYS[notion]`.
 
-    `needs` selects the tracked components; untracked ones stay None.  Each
-    is an incremental recurrence for one definitional function above
-    (`purge`, `ipurge`, `view`, `ta`, `to`, `ito`), and the test suite checks
-    that two ids of a component are equal exactly when its function's values
-    are.
+    Purges, views and trees are int ids in an intern table that `start`
+    creates and every profile stepped from it shares.  A sequence is a trie
+    node, id(seq + (e,)) = table[(id(seq), e)], whose elements are action
+    indices and, in views, observation tokens; a tree node is table[(left
+    id, transmitted id, action index)], where an action of d transmits d's
+    `ta` tree, under `to` d's view before the action, and under `ito` d's
+    view after it to every domain but d.  Id 0 is both the empty sequence
+    and every empty-history tree: the `to`/`ito` trees drop their
+    initial-observation leaf, one per domain.  `views` holds each domain's
+    view id under `to`/`ito`, which transmit views, and is None otherwise.
+    Nothing turns an id back into its value; `oracle.trace_key` reads the
+    definitional functions instead, so no witness check reads a profile.
 
-    Purges, views and trees are held as int ids in an intern table that
-    `start` creates and every profile stepped from it shares.  A sequence is
-    a trie node, id(seq + (e,)) = table[(id(seq), e)], whose elements are
-    action indices and, in views, observation tokens; a tree node is
-    table[(left id, transmitted id, action index)], where an action of d
-    transmits d's `ta` tree, under `to` d's view before the action, and under
-    `ito` d's view after it to every domain but d.  Id 0 is both the empty
-    sequence and every empty-history tree: the `to`/`ito` trees drop their
-    initial-observation leaf, one per domain.  Equal ids mean equal values
-    only within one component of one domain in one table, and nothing turns
-    an id back into its value; `oracle.trace_key` reads the definitional
-    functions instead, so no witness check reads a profile.
-
-    The `ipurge` component keeps, per domain u, an int bitmask of the trace
-    positions that a permitted chain links to u; `ipurge(ui)` reads the
-    intransitive purge off it.  Appending an action of domain d at position n
-    sets every u that d may interfere with to u | d | {n}: the positions
+    Under `ip`, `keys[u]` is not the key but an int bitmask of the trace
+    positions that a permitted chain links to u, and `key(ui)` reads the
+    intransitive purge off it.  Appending an action of domain d at position
+    n sets every u that d may interfere with to u | d | {n}: the positions
     linked to the set {u, d} are those linked to u or to d, and a chain
     through the new action must reach d before it.
     """
 
-    __slots__ = (
-        "system", "table", "state", "trace",
-        "purges", "ipurge_masks", "views", "ta_vec", "to_vec", "ito_vec",
-        "_masked",
-    )
+    __slots__ = ("system", "notion", "table", "state", "trace", "keys", "views", "_masked")
 
-    def __init__(self, system, table, state, trace, purges, ipurge_masks, views,
-                 ta_vec, to_vec, ito_vec):
+    def __init__(self, system, notion, table, state, trace, keys, views):
         self.system = system
+        self.notion = notion
         self.table = table
         self.state = state
         self.trace = trace
-        self.purges = purges
-        self.ipurge_masks = ipurge_masks
+        self.keys = keys
         self.views = views
-        self.ta_vec = ta_vec
-        self.to_vec = to_vec
-        self.ito_vec = ito_vec
         self._masked = {}
 
     @classmethod
-    def start(cls, system: System, needs: Iterable[str] = _NEED_KEYS) -> "TraceProfile":
-        needs = frozenset(needs)
-        unknown = needs - frozenset(_NEED_KEYS)
-        if unknown:
-            raise InputError(f"unknown profile components {sorted(unknown)}")
-        if needs & {"to_vec", "ito_vec"}:
-            needs = needs | {"views"}
-        nd = len(system.policy.domains)
+    def start(cls, system: System, notion: str) -> "TraceProfile":
+        """The profile of the empty trace under `notion`, with a new intern
+        table; `InputError` unless `notion` is one of the five notions."""
+        if not _known(notion, CHILD_KEYS):
+            raise InputError(f"unknown security notion {notion!r}")
         s0 = system.state_index(system.initial)
         table = {None: 0}  # id 0: the empty sequence and the empty-history tree
-        views = tuple([table.setdefault((0, t), len(table)) for t in system._obs[s0]])
-        return cls(
-            system,
-            table,
-            s0,
-            (),
-            (0,) * nd if "purge" in needs else None,
-            (0,) * nd if "ipurge" in needs else None,
-            views if "views" in needs else None,
-            (0,) * nd if "ta" in needs else None,
-            (0,) * nd if "to_vec" in needs else None,
-            (0,) * nd if "ito_vec" in needs else None,
-        )
-
-    def extend(self, action: str) -> "TraceProfile":
-        """The profile of the trace extended by the named action."""
-        return self.step(self.system.action_index(action))
+        views = None
+        if notion in ("to", "ito"):
+            views = [table.setdefault((0, t), len(table)) for t in system._obs[s0]]
+        return cls(system, notion, table, s0, (), [0] * len(system.policy.domains), views)
 
     def step(self, ai: int) -> "TraceProfile":
         """The profile of the trace extended by the action of index `ai`."""
-        sys, table = self.system, self.table
+        sys, table, keys = self.system, self.table, self.keys
         d = sys._dom[ai]
-        row = sys._may[d]
+        moved = sys._moved[ai]
         state = sys._step[self.state][ai]
         obs = sys._obs[state]
 
-        purges = self.purges
-        if purges is not None:
-            purges = tuple([table.setdefault((p, ai), len(table)) if r else p
-                            for p, r in zip(purges, row)])
-
-        masks = self.ipurge_masks
-        if masks is not None:
-            linked = masks[d] | 1 << len(self.trace)
-            masks = tuple([m | linked if r else m for m, r in zip(masks, row)])
+        grown = list(keys)
+        if self.notion == "ip":
+            linked = keys[d] | 1 << len(self.trace)
+            for u in moved:
+                grown[u] |= linked
+        else:
+            for u, k in zip(moved, CHILD_KEYS[self.notion](self, ai, moved, obs)):
+                grown[u] = k
 
         views = self.views
         if views is not None:
             # Every view ends in its domain's current token, so `_absorb`
             # grows only the actor's view and those whose token changed.
             acted = table.setdefault((views[d], ai), len(table))
-            grown = list(views)
-            grown[d] = table.setdefault((acted, obs[d]), len(table))
+            views = list(views)
+            views[d] = table.setdefault((acted, obs[d]), len(table))
             before = sys._obs[self.state]
             if obs != before:
                 for v, o in enumerate(obs):
                     if o != before[v] and v != d:
-                        grown[v] = table.setdefault((views[v], o), len(table))
-            views = tuple(grown)
+                        views[v] = table.setdefault((views[v], o), len(table))
 
-        ta_vec = self.ta_vec
-        if ta_vec is not None:
-            transmitted = ta_vec[d]
-            ta_vec = tuple([table.setdefault((t, transmitted, ai), len(table)) if r else t
-                            for t, r in zip(ta_vec, row)])
+        return TraceProfile(sys, self.notion, table, state,
+                            self.trace + (sys.actions[ai],), grown, views)
 
-        to_vec = self.to_vec
-        if to_vec is not None:
-            sent = self.views[d]
-            to_vec = tuple([table.setdefault((t, sent, ai), len(table)) if r else t
-                            for t, r in zip(to_vec, row)])
-
-        ito_vec = self.ito_vec
-        if ito_vec is not None:
-            sent, seen = self.views[d], views[d]
-            ito_vec = tuple([table.setdefault((t, sent if v == d else seen, ai), len(table))
-                             if r else t for v, (t, r) in enumerate(zip(ito_vec, row))])
-
-        return TraceProfile(
-            sys, table, state, self.trace + (sys.actions[ai],),
-            purges, masks, views, ta_vec, to_vec, ito_vec,
-        )
-
-    def ipurge(self, ui: int) -> tuple[str, ...]:
-        """The intransitive purge of the trace for domain index `ui`; equal to
-        the module-level `ipurge`."""
-        return self.masked(self.ipurge_masks[ui])
+    def key(self, ui: int):
+        """The key of domain index `ui`: an interned id, or under `ip` the
+        intransitive purge, equal to the module-level `ipurge`."""
+        k = self.keys[ui]
+        return self.masked(k) if self.notion == "ip" else k
 
     def masked(self, mask: int) -> tuple[str, ...]:
         """The actions of the trace at the positions set in `mask`, memoised

@@ -64,7 +64,7 @@ class Policy:
 
     def interferes(self, u: str, v: str) -> bool:
         """True when domain u may interfere with domain v."""
-        return (u, v) in self.edges
+        return _known((u, v), self.edges)
 
     def index(self, u: str) -> int:
         try:
@@ -86,9 +86,9 @@ class Policy:
 
 def policy_image(policy: Policy, sources: Iterable[str]) -> set[str]:
     """All domains some member of `sources` may interfere with."""
-    srcs = set(sources)
+    srcs = tuple(sources)
     for u in srcs:
-        if u not in policy._index:
+        if not _known(u, policy._index):
             raise InputError(f"unknown domain {u!r}")
     return {v for v in policy.domains for u in srcs if policy.interferes(u, v)}
 
@@ -235,6 +235,10 @@ class System:
         self._domain_actions: list[list[int]] = [[] for _ in range(nd)]
         for ai, di in enumerate(self._dom):
             self._domain_actions[di].append(ai)
+        # Per action, the domains its domain may interfere with: those whose
+        # keys it may change.
+        image = [tuple([v for v in range(nd) if row[v]]) for row in self._may]
+        self._moved = [image[di] for di in self._dom]
         return out
 
     def require_valid(self) -> None:

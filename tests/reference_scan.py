@@ -11,10 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from nicheck.errors import BudgetError, InputError
-from nicheck.oracle import (
-    DEFAULT_TRACE_BUDGET, NOTIONS, BoundedVerdict, _count_traces, _interfering,
-    _profile_key, _PROFILE_NEEDS,
-)
+from nicheck.oracle import DEFAULT_TRACE_BUDGET, NOTIONS, BoundedVerdict, _count_traces
 from nicheck.semantics import TraceProfile
 from nicheck.system import System
 
@@ -49,15 +46,13 @@ def bounded_check(
 
     domains = system.policy.domains
     nd = len(domains)
-    senders = [_interfering(system, ui) for ui in range(nd)]
     obs = system._obs
     # key -> (observation, representative trace); one table per domain
     seen: list[dict] = [dict() for _ in range(nd)]
-    needs = _PROFILE_NEEDS[notion]
 
     def check(profile: TraceProfile) -> Optional[BoundedVerdict]:
         for ui in range(nd):
-            key = _profile_key(profile, notion, ui, senders[ui])
+            key = profile.key(ui)
             token = obs[profile.state][ui]
             prior = seen[ui].get(key)
             if prior is None:
@@ -68,10 +63,9 @@ def bounded_check(
                 )
         return None
 
-    actions = system.actions
     # One root for every length: keys are interned ids, comparable only
     # between profiles stepped from the same root.
-    root = TraceProfile.start(system, needs=needs)
+    root = TraceProfile.start(system, notion)
 
     def scan(length: int) -> Optional[BoundedVerdict]:
         # Depth-first over the traces of exactly `length` actions, in action
@@ -85,7 +79,7 @@ def bounded_check(
             if i == n_actions:
                 continue
             stack.append((profile, i + 1))
-            child = profile.extend(actions[i])
+            child = profile.step(i)
             if len(stack) == length:
                 hit = check(child)
                 if hit is not None:

@@ -9,7 +9,6 @@ import time
 
 import nicheck as nc
 from nicheck.cli import linear_fit_max_ratio, main, run_scaling_bench
-from nicheck.oracle import _interfering, _profile_key, _PROFILE_NEEDS
 from nicheck.semantics import OBS, TraceProfile
 from conftest import corpus_params, random_trace, transitive_closure
 
@@ -159,31 +158,31 @@ def test_criterion_4_semantics_laws():
     )
 
 
+_TREES = {"to-tree": nc.to, "ito-tree": nc.ito}
+
+
 def _partitions_disagree(system, depth, pairs):
     """Mismatches between flattened-key and tree-key partitions, per notion."""
     nd = len(system.policy.domains)
-    senders = [_interfering(system, u) for u in range(nd)]
-    needs = set()
-    for flat, tree in pairs:
-        needs |= set(_PROFILE_NEEDS[flat]) | set(_PROFILE_NEEDS[tree])
     mismatches = []
     flat_to_tree = {(n, u): {} for n, _ in pairs for u in range(nd)}
     tree_to_flat = {(n, u): {} for n, _ in pairs for u in range(nd)}
 
-    def scan(profile, remaining):
+    def scan(profiles, remaining):
         for flat, tree in pairs:
+            profile = profiles[flat]
             for u in range(nd):
-                fk = _profile_key(profile, flat, u, senders[u])
-                tk = _profile_key(profile, tree, u, senders[u])
+                fk = profile.key(u)
+                tk = _TREES[tree](system, system.policy.domains[u], profile.trace)
                 f2t = flat_to_tree[(flat, u)].setdefault(fk, tk)
                 t2f = tree_to_flat[(flat, u)].setdefault(tk, fk)
                 if f2t is not tk or t2f != fk:
                     mismatches.append((flat, system.policy.domains[u], profile.trace))
         if remaining:
-            for a in system.actions:
-                scan(profile.extend(a), remaining - 1)
+            for ai in range(len(system.actions)):
+                scan({flat: p.step(ai) for flat, p in profiles.items()}, remaining - 1)
 
-    scan(TraceProfile.start(system, needs=needs), depth)
+    scan({flat: TraceProfile.start(system, flat) for flat, _ in pairs}, depth)
     return mismatches
 
 

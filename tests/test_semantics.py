@@ -222,37 +222,40 @@ class TestTraceProfile:
     def test_agrees_with_definitional_functions(self):
         # Within one intern table, two ids of a component are equal exactly
         # when its definitional values are: all the bounded scan asks of its
-        # keys.  A set compares InfoTrees by `is`.  Every component is
-        # tracked, so the `ta`, `to` and `ito` nodes, whose keys share one
-        # shape, share one table too.
+        # keys.  A set compares InfoTrees by `is`.  Under `to`/`ito` the view
+        # and tree nodes share one table, so they are also shown not to mix.
+        defined = {"p": nc.purge, "ta": nc.ta, "to": nc.to, "ito": nc.ito}
         for params in corpus_params(60, seed=41):
             s = nc.gen_random_system(params)
-            level = [TraceProfile.start(s)]
-            profiles = list(level)
-            for _ in range(4):
-                level = [prof.step(ai) for prof in level for ai in range(len(s.actions))]
-                profiles += level
-            for prof in profiles:
-                assert prof.state == s.state_index(nc.run(s, s.initial, prof.trace))
-            for i, d in enumerate(s.policy.domains):
-                for ids, defined in (("views", nc.view), ("purges", nc.purge),
-                                     ("ta_vec", nc.ta), ("to_vec", nc.to),
-                                     ("ito_vec", nc.ito)):
-                    pairs = {(getattr(prof, ids)[i], defined(s, d, prof.trace))
-                             for prof in profiles}
-                    assert len(pairs) == len({k for k, _ in pairs}) == \
-                        len({v for _, v in pairs}), (params, d, ids)
+            for notion in nc.NOTIONS:
+                level = [TraceProfile.start(s, notion)]
+                profiles = list(level)
+                for _ in range(4):
+                    level = [prof.step(ai) for prof in level for ai in range(len(s.actions))]
+                    profiles += level
                 for prof in profiles:
-                    assert prof.ipurge(i) == nc.ipurge(s, d, prof.trace)
+                    assert prof.state == s.state_index(nc.run(s, s.initial, prof.trace))
+                components = [("keys", defined[notion])] if notion in defined else []
+                if notion in ("to", "ito"):
+                    components.append(("views", nc.view))
+                for i, d in enumerate(s.policy.domains):
+                    for ids, function in components:
+                        pairs = {(getattr(prof, ids)[i], function(s, d, prof.trace))
+                                 for prof in profiles}
+                        assert len(pairs) == len({k for k, _ in pairs}) == \
+                            len({v for _, v in pairs}), (params, notion, d, ids)
+                    if notion == "ip":
+                        for prof in profiles:
+                            assert prof.key(i) == nc.ipurge(s, d, prof.trace)
 
-    def test_untracked_components_stay_none(self, fig5):
-        prof = TraceProfile.start(fig5, needs=("ta",)).extend("h")
-        assert prof.ta_vec is not None
-        assert prof.views is None and prof.purges is None
-        assert prof.ipurge_masks is None
-
-    def test_unknown_component_rejected(self, fig5):
-        # The to/ito trees are built by their definitional walk alone.
-        for needs in (("nonsense",), ("to",), ("ito",)):
+    def test_one_notion_per_profile(self, fig5):
+        # Views are tracked only where a notion transmits them, and a profile
+        # is bound to one of the five notions: no tree-valued or flattened
+        # component is left to select.
+        h = fig5.action_index("h")
+        for notion in nc.NOTIONS:
+            prof = TraceProfile.start(fig5, notion).step(h)
+            assert (prof.views is None) == (notion in ("p", "ip", "ta")), notion
+        for notion in ("nonsense", "to-tree", "tview", "ftview", ["ta"]):
             with pytest.raises(nc.InputError):
-                TraceProfile.start(fig5, needs=needs)
+                TraceProfile.start(fig5, notion)

@@ -43,6 +43,17 @@ class TestPolicyImage:
         with pytest.raises(nc.InputError):
             nc.policy_image(downgrader(), {"X"})
 
+    def test_unhashable_domain_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="unknown domain"):
+            nc.policy_image(downgrader(), [["L"]])
+
+    def test_unhashable_domain_interferes_with_nothing(self):
+        # As for an undeclared domain: no edge names it.
+        p = downgrader()
+        assert not p.interferes(["L"], "H")
+        assert not p.interferes("H", ["D"])
+        assert not p.interferes("X", "H")
+
     def test_extensive_and_monotone(self):
         rng = random.Random(5)
         for i in range(200):
