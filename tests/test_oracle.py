@@ -356,6 +356,11 @@ class TestScanKeyRepresentation:
                     keys += CHILD_KEYS[notion](profile, ai, moved, after)
                 assert all(type(k) is int for k in keys), notion
 
+    def test_flattened_view_components_are_gone(self, fig5):
+        for notion in ("tview", "ftview"):
+            with pytest.raises(nc.InputError):
+                TraceProfile.start(fig5, notion)
+
 
 class TestKeySkipInvariance:
     def test_unreachable_domains_keep_their_keys(self):

@@ -248,14 +248,17 @@ class TestTraceProfile:
                         for prof in profiles:
                             assert prof.key(i) == nc.ipurge(s, d, prof.trace)
 
-    def test_one_notion_per_profile(self, fig5):
-        # Views are tracked only where a notion transmits them, and a profile
-        # is bound to one of the five notions: no tree-valued or flattened
-        # component is left to select.
+    def test_untracked_components_stay_none(self, fig5):
+        # Views are tracked only where a notion transmits them.
         h = fig5.action_index("h")
         for notion in nc.NOTIONS:
             prof = TraceProfile.start(fig5, notion).step(h)
+            assert prof.keys is not None, notion
             assert (prof.views is None) == (notion in ("p", "ip", "ta")), notion
-        for notion in ("nonsense", "to-tree", "tview", "ftview", ["ta"]):
+
+    def test_unknown_component_rejected(self, fig5):
+        # A profile is bound to one of the five notions; the to/ito trees
+        # are built by their definitional walk alone.
+        for notion in ("nonsense", "to-tree", "ito-tree", ["ta"]):
             with pytest.raises(nc.InputError):
                 TraceProfile.start(fig5, notion)
