@@ -17,7 +17,7 @@ from .fileformat import parse_system, serialize_system
 from .generate import FIXTURE_NAMES, GenParams, fixture, gen_random_system
 from .oracle import NOTIONS, bounded_check
 from .reduction import PcpInstance, augment_final, build_pcp_system, pcp_witness
-from .system import System, run
+from .system import System, gc_paused, run
 from .verify import decide_ip, decide_p, decide_ta
 
 _DECIDERS = {"p": decide_p, "ip": decide_ip, "ta": decide_ta}
@@ -138,6 +138,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Carry out one parsed command and return its exit code."""
+    if args.command == "check":
+        system = _load(args.file)
+        verdict = _DECIDERS[args.notion](system)
+        if verdict.secure:
+            print(f"secure ({args.notion})")
+            return 0
+        print(_witness_json(system, args.notion, verdict.domain,
+                            verdict.alpha, verdict.beta))
+        return 1
+
+    if args.command == "bounded":
+        system = _load(args.file)
+        kwargs = {"budget": args.budget} if args.budget is not None else {}
+        outcome = bounded_check(system, args.notion, args.depth, **kwargs)
+        if outcome.insecure:
+            print(_witness_json(system, args.notion, outcome.domain,
+                                outcome.alpha, outcome.beta))
+            return 1
+        print(json.dumps({"notion": args.notion,
+                          "no_violation_up_to": outcome.depth}))
+        return 2
+
+    if args.command == "reduce-pcp":
+        instance = PcpInstance(
+            args.sigma,
+            tuple(args.u.split(",")),
+            tuple(args.w.split(",")),
+        )
+        _emit(serialize_system(build_pcp_system(instance)), args.out)
+        return 0
+
+    if args.command == "augment-final":
+        _emit(serialize_system(augment_final(_load(args.file))), args.out)
+        return 0
+
+    if args.command == "gen":
+        params = GenParams(args.states, args.actions, args.domains,
+                           args.obs_tokens, args.density, args.seed)
+        _emit(serialize_system(gen_random_system(params)), args.out)
+        return 0
+
+    if args.command == "fixture":
+        _emit(serialize_system(fixture(args.name)), args.out)
+        return 0
+
+    if args.command == "bench":
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+        results = run_scaling_bench(args.notion, sizes, args.seed)
+        for r in results:
+            print(f"states={r['states']} seconds={r['seconds']:.4f}")
+        print(f"linear fit max ratio: {linear_fit_max_ratio(results):.2f}")
+        return 0
+
+    return 3
+
+
 def main(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
@@ -145,59 +203,10 @@ def main(argv) -> int:
         return 0 if stop.code == 0 else 3
 
     try:
-        if args.command == "check":
-            system = _load(args.file)
-            verdict = _DECIDERS[args.notion](system)
-            if verdict.secure:
-                print(f"secure ({args.notion})")
-                return 0
-            print(_witness_json(system, args.notion, verdict.domain,
-                                verdict.alpha, verdict.beta))
-            return 1
-
-        if args.command == "bounded":
-            system = _load(args.file)
-            kwargs = {"budget": args.budget} if args.budget is not None else {}
-            outcome = bounded_check(system, args.notion, args.depth, **kwargs)
-            if outcome.insecure:
-                print(_witness_json(system, args.notion, outcome.domain,
-                                    outcome.alpha, outcome.beta))
-                return 1
-            print(json.dumps({"notion": args.notion,
-                              "no_violation_up_to": outcome.depth}))
-            return 2
-
-        if args.command == "reduce-pcp":
-            instance = PcpInstance(
-                args.sigma,
-                tuple(args.u.split(",")),
-                tuple(args.w.split(",")),
-            )
-            _emit(serialize_system(build_pcp_system(instance)), args.out)
-            return 0
-
-        if args.command == "augment-final":
-            _emit(serialize_system(augment_final(_load(args.file))), args.out)
-            return 0
-
-        if args.command == "gen":
-            params = GenParams(args.states, args.actions, args.domains,
-                               args.obs_tokens, args.density, args.seed)
-            _emit(serialize_system(gen_random_system(params)), args.out)
-            return 0
-
-        if args.command == "fixture":
-            _emit(serialize_system(fixture(args.name)), args.out)
-            return 0
-
-        if args.command == "bench":
-            sizes = tuple(int(s) for s in args.sizes.split(","))
-            results = run_scaling_bench(args.notion, sizes, args.seed)
-            for r in results:
-                print(f"states={r['states']} seconds={r['seconds']:.4f}")
-            print(f"linear fit max ratio: {linear_fit_max_ratio(results):.2f}")
-            return 0
-
+        # One command loads and checks at most one machine, building no
+        # reference cycle, so the cyclic collector has nothing to find.
+        with gc_paused():
+            return _run(args)
     except (InputError, BudgetError, OSError) as err:
         detail = getattr(err, "diagnostics", None)
         for line in detail or (str(err),):
@@ -206,8 +215,6 @@ def main(argv) -> int:
     except Exception as err:  # exit code 1 means "insecure"; a crash is not
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3
-
-    return 3
 
 
 def entry() -> None:

@@ -34,9 +34,15 @@ class GenParams:
 
     def __post_init__(self):
         for field in ("num_states", "num_actions", "num_domains", "obs_alphabet_size"):
-            if getattr(self, field) < 1:
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{field} must be an int, got {value!r}")
+            if value < 1:
                 raise InputError(f"{field} must be at least 1")
-        if not 0.0 <= self.policy_density <= 1.0:
+        density = self.policy_density
+        if not isinstance(density, (int, float)) or isinstance(density, bool):
+            raise InputError(f"policy_density must be a number, got {density!r}")
+        if not 0.0 <= density <= 1.0:
             raise InputError("policy_density must lie in [0, 1]")
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import BudgetError, InputError
 from .semantics import CHILD_KEYS, TraceProfile, ftview, ipurge, purge, ta, tview
-from .system import System, run
+from .system import System, gc_paused, run
 from .verify import Verdict
 
 NOTIONS = ("p", "ip", "ta", "to", "ito")
@@ -127,8 +127,15 @@ def bounded_check(
     computed and looked up only for the domains its last action may
     interfere with (`System._moved`); every other domain keeps its parent's
     key and, the parent having passed, clashes exactly when its observation
-    changed.  `depth` and `budget` must be ints, not bools, or `InputError`
-    is raised.
+    changed.  Only the checked domains, those that observe at least two
+    tokens over the declared states, have key tables, key lookups or
+    observation comparisons: a domain with one token in every state sees
+    that token at the end of every trace, so none of its key classes holds a
+    violation, and skipping it leaves the first violation as it was.  The
+    profiles still step every domain's key, because an unchecked actor's
+    keys feed the checked ones.  The scan builds no reference cycle and runs
+    with the cyclic garbage collector paused (`gc_paused`).  `depth` and
+    `budget` must be ints, not bools, or `InputError` is raised.
     """
     if notion not in NOTIONS:
         raise InputError(f"unknown security notion {notion!r}")
@@ -149,57 +156,64 @@ def bounded_check(
     nd = len(domains)
     obs, step = system._obs, system._step
     child_keys = CHILD_KEYS[notion]
-    # Per action: the domains whose key it may change and those whose key it
-    # leaves as the parent's.
-    moves = [(ai, action, moved, [u for u in range(nd) if u not in moved])
+    # A domain that observes one token in every declared state never tells
+    # two traces apart, so only the others are keyed and looked up.
+    checked = [u for u, column in enumerate(zip(*obs)) if len(set(column)) > 1]
+    # Per action: the checked domains whose key it may change and those whose
+    # key it leaves as the parent's.
+    moves = [(ai, action, [u for u in checked if u in moved],
+              [u for u in checked if u not in moved])
              for ai, (action, moved) in enumerate(zip(system.actions, system._moved))]
 
     root = TraceProfile.start(system, notion)
     tokens = obs[root.state]
     # key -> (observation, representative trace); one table per domain
-    seen: list[dict] = [{root.key(ui): (tokens[ui], ())} for ui in range(nd)]
+    seen: list[dict] = [{} for _ in range(nd)]
+    for u in checked:
+        seen[u][root.key(u)] = (tokens[u], ())
     frontier = [root]
-    for length in range(1, depth + 1):
-        last = length == depth
-        level = []
-        for parent in frontier:
-            before = obs[parent.state]
-            targets = step[parent.state]
-            for ai, action, moved, unmoved in moves:
-                after = obs[targets[ai]]
-                # An unmoved domain keeps the parent's key, whose table entry
-                # carries the parent's token (the parent passed its check), so
-                # it clashes exactly when its token changed.
-                stop = nd
-                if after != before:
-                    for u in unmoved:
-                        if after[u] != before[u]:
-                            stop = u
+    with gc_paused():
+        for length in range(1, depth + 1):
+            last = length == depth
+            level = []
+            for parent in frontier:
+                before = obs[parent.state]
+                targets = step[parent.state]
+                for ai, action, moved, unmoved in moves:
+                    after = obs[targets[ai]]
+                    # An unmoved domain keeps the parent's key, whose table
+                    # entry carries the parent's token (the parent passed its
+                    # check), so it clashes exactly when its token changed.
+                    stop = nd
+                    if after != before:
+                        for u in unmoved:
+                            if after[u] != before[u]:
+                                stop = u
+                                break
+                    if last:
+                        trace = None
+                        keys = child_keys(parent, ai, moved, after)
+                    else:
+                        child = parent.step(ai)
+                        level.append(child)
+                        trace = child.trace
+                        keys = [child.key(u) for u in moved]
+                    for u, k in zip(moved, keys):
+                        if u > stop:
                             break
-                if last:
-                    trace = None
-                    keys = child_keys(parent, ai, moved, after)
-                else:
-                    child = parent.step(ai)
-                    level.append(child)
-                    trace = child.trace
-                    keys = [child.key(u) for u in moved]
-                for u, k in zip(moved, keys):
-                    if u > stop:
-                        break
-                    prior = seen[u].get(k)
-                    if prior is None:
-                        if trace is None:
-                            trace = parent.trace + (action,)
-                        seen[u][k] = (after[u], trace)
-                    elif prior[0] != after[u]:
-                        return BoundedVerdict(True, None, domains[u], prior[1],
+                        prior = seen[u].get(k)
+                        if prior is None:
+                            if trace is None:
+                                trace = parent.trace + (action,)
+                            seen[u][k] = (after[u], trace)
+                        elif prior[0] != after[u]:
+                            return BoundedVerdict(True, None, domains[u], prior[1],
+                                                  parent.trace + (action,))
+                    if stop < nd:
+                        prior = seen[stop][parent.key(stop)]
+                        return BoundedVerdict(True, None, domains[stop], prior[1],
                                               parent.trace + (action,))
-                if stop < nd:
-                    prior = seen[stop][parent.key(stop)]
-                    return BoundedVerdict(True, None, domains[stop], prior[1],
-                                          parent.trace + (action,))
-        frontier = level
+            frontier = level
     return BoundedVerdict(False, depth)
 
 

@@ -274,9 +274,10 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 #
 # Every key of u changes only at actions whose domain may interfere with u:
 # purge_u, the position mask behind ipurge_u and the trees move only where
-# the policy row of the acting domain holds u.  So `moved` is
-# `System._moved[ai]`, every other domain keeps its parent's key, and
-# `bounded_check` skips those domains on the strength of this.
+# the policy row of the acting domain holds u.  So every other domain keeps
+# its parent's key, and `bounded_check` skips those domains on the strength
+# of this.  `moved` may be any subset of `System._moved[ai]`: `step` passes
+# all of it, and the scan's last level only the domains it checks.
 
 
 def _child_p(profile, ai, moved, after):

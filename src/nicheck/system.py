@@ -8,6 +8,8 @@ reflexive relation over the domains saying who may pass information to whom.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
@@ -16,6 +18,25 @@ from .errors import InputError
 NULL_OBS = "_"
 #: Action `x` + FINAL_SUFFIX in the domain of `x` is the final variant of `x`.
 FINAL_SUFFIX = "!"
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Run the body with the cyclic garbage collector off.
+
+    Loading a machine, deciding it and scanning its traces build many
+    containers but no reference cycle, so reference counting frees them all
+    and the collector's walks find nothing.  The collector is switched back
+    on afterwards only if it was on before, so a caller that turned it off
+    finds it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _bad_name(name) -> bool:

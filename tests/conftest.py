@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -153,3 +154,13 @@ def transitive_closure(policy):
 
 def random_trace(rng, system, max_len=8):
     return tuple(rng.choice(system.actions) for _ in range(rng.randint(0, max_len)))
+
+
+@pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test, and put
+    back as it was afterwards; the value is whether it is on."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()

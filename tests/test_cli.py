@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nicheck as nc
+from nicheck import cli
 from nicheck.cli import _build_parser, linear_fit_max_ratio, main, run_scaling_bench
 
 
@@ -87,6 +89,42 @@ class TestBounded:
         captured = capsys.readouterr()
         assert code == 3 and not captured.out
         assert "budget 0" in captured.err
+
+
+class TestCollector:
+    """One command runs with the cyclic garbage collector off and leaves it
+    as the caller had it, whatever the exit code."""
+
+    @pytest.mark.parametrize("notion, code", [("ip", 0), ("ta", 1)])
+    def test_state_kept_after_a_verdict(self, tmp_path, capsys, collector, notion, code):
+        assert main(["check", "--notion", notion, write_fixture(tmp_path, "fig6")]) == code
+        assert gc.isenabled() is collector
+
+    def test_state_kept_after_an_error(self, tmp_path, capsys, collector):
+        assert main(["check", "--notion", "p", str(tmp_path / "absent.ni")]) == 3
+        assert gc.isenabled() is collector
+        path = tmp_path / "binary.ni"
+        path.write_bytes(b"\xff\xfe\x00states s0\n\x80\x81")
+        assert main(["check", "--notion", "p", str(path)]) == 3
+        assert gc.isenabled() is collector
+        assert main(["bounded", "--notion", "p", "--depth", "12",
+                     write_fixture(tmp_path, "fig6")]) == 3
+        assert gc.isenabled() is collector
+        assert main(["check", "--notion", "to", str(path)]) == 3
+        assert gc.isenabled() is collector
+
+    def test_command_runs_with_the_collector_off(self, tmp_path, capsys, collector,
+                                                 monkeypatch):
+        states = []
+
+        def decide(system):
+            states.append(gc.isenabled())
+            return nc.decide_p(system)
+
+        monkeypatch.setitem(cli._DECIDERS, "p", decide)
+        assert main(["check", "--notion", "p", write_fixture(tmp_path, "fig5")]) == 1
+        assert states == [False]
+        assert gc.isenabled() is collector
 
 
 class TestGenerators:

@@ -47,6 +47,22 @@ class TestGenRandomSystem:
         with pytest.raises(nc.InputError):
             nc.GenParams(1, 1, 1, 1, 1.5, 0)
 
+    def test_string_count_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="num_states must be an int, got '3'"):
+            nc.GenParams("3", 1, 1, 1, 0.5, 0)
+
+    def test_fractional_count_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="num_states must be an int, got 2.5"):
+            nc.GenParams(2.5, 1, 1, 1, 0.5, 0)
+
+    def test_bool_count_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="num_domains must be an int, got True"):
+            nc.GenParams(1, 1, True, 1, 0.5, 0)
+
+    def test_string_density_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="policy_density must be a number, got 'x'"):
+            nc.GenParams(1, 1, 1, 1, "x", 0)
+
 
 class TestFixtures:
     def test_unknown_name(self):

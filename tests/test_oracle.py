@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -392,6 +393,96 @@ class TestKeySkipInvariance:
                             assert tree(s, d, trace + (a,)) is tree(s, d, trace)
                         cases += 1
         assert cases >= 1000
+
+
+class TestCheckedDomains:
+    """`bounded_check` keys and looks up only the domains that observe at
+    least two tokens over the declared states; the others can never tell two
+    traces apart."""
+
+    @staticmethod
+    def late_token_machines():
+        # L alone observes two tokens, and its second one first shows three
+        # actions from the start: after three h's, or after two h's and L's
+        # own action, which moves L's keys.
+        states = ("s0", "s1", "s2", "s3")
+        yield nc.System(nc.Policy(("H", "L")), states, "s0", {"h": "H", "l": "L"},
+                        {("s0", "h"): "s1", ("s1", "h"): "s2", ("s2", "h"): "s3"},
+                        {("s3", "L"): "1"})
+        yield nc.System(nc.Policy(("H", "L")), states, "s0", {"h": "H", "l": "L"},
+                        {("s0", "h"): "s1", ("s1", "h"): "s2", ("s2", "l"): "s3"},
+                        {("s3", "L"): "1"})
+
+    def test_second_token_deep_in_the_machine_still_found(self):
+        found = set()
+        for s in self.late_token_machines():
+            assert [len(set(column)) for column in zip(*s._obs)] == [1, 2]
+            for notion in nc.NOTIONS:
+                for depth in (3, 4):
+                    got = nc.bounded_check(s, notion, depth)
+                    want = reference_scan.bounded_check(s, notion, depth)
+                    assert repr(got) == repr(want), (notion, depth)
+                    assert got.insecure and got.domain == "L" and len(got.beta) == 3
+                    found.add(got.beta)
+        assert found == {("h", "h", "h"), ("h", "h", "l")}
+
+    def test_one_token_domains_reach_no_last_level_key(self, pcp_demo, monkeypatch):
+        # pcp_demo's speller and picker observe one token in every state;
+        # closer and watcher observe several.
+        s = pcp_demo
+        assert [len(set(column)) for column in zip(*s._obs)] == [1, 1, 6, 4]
+        checked = {s.policy.index("closer"), s.policy.index("watcher")}
+        depth = 4
+        # Under p a violation ends the scan at depth 3; the others clear 4.
+        for notion in ("ip", "ta", "to", "ito"):
+            calls = []
+
+            def recorder(profile, ai, moved, after, recurrence=CHILD_KEYS[notion]):
+                calls.append((len(profile.trace), tuple(moved)))
+                return recurrence(profile, ai, moved, after)
+
+            monkeypatch.setitem(CHILD_KEYS, notion, recorder)
+            assert not nc.bounded_check(s, notion, depth).insecure
+            last = [moved for length, moved in calls if length == depth - 1]
+            assert len(last) == 7 ** depth
+            assert {u for moved in last for u in moved} == checked
+            # Profiles below the last level still step every moved domain,
+            # since an unchecked actor's keys feed the checked domains' keys.
+            stepped = {u for length, moved in calls if length < depth - 1 for u in moved}
+            assert stepped == (set() if notion == "ip" else set(range(4)))
+
+
+class TestCollectorPaused:
+    """The scan runs with the cyclic garbage collector off and leaves it as
+    the caller had it, however it ends."""
+
+    def test_state_kept_after_a_verdict(self, fig7, collector):
+        assert nc.bounded_check(fig7, "to", 5).insecure
+        assert gc.isenabled() is collector
+        assert not nc.bounded_check(fig7, "p", 0).insecure
+        assert gc.isenabled() is collector
+
+    def test_state_kept_after_an_input_error(self, fig7, collector):
+        with pytest.raises(nc.InputError):
+            nc.bounded_check(fig7, "to", -1)
+        assert gc.isenabled() is collector
+
+    def test_state_kept_after_a_budget_error(self, fig7, collector):
+        with pytest.raises(nc.BudgetError):
+            nc.bounded_check(fig7, "to", 5, budget=10)
+        assert gc.isenabled() is collector
+
+    def test_scan_runs_with_the_collector_off(self, pcp_demo, collector, monkeypatch):
+        states = set()
+
+        def recorder(profile, ai, moved, after, recurrence=CHILD_KEYS["ta"]):
+            states.add(gc.isenabled())
+            return recurrence(profile, ai, moved, after)
+
+        monkeypatch.setitem(CHILD_KEYS, "ta", recorder)
+        nc.bounded_check(pcp_demo, "ta", 3)
+        assert states == {False}
+        assert gc.isenabled() is collector
 
 
 class TestExactPairChecks:
