@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .reduction import DEMO_INSTANCE, build_pcp_system
-from .system import Policy, System
+from .system import Policy, System, _known
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        for field in ("num_states", "num_actions", "num_domains", "obs_alphabet_size"):
+        for field in ("num_states", "num_actions", "num_domains", "obs_alphabet_size", "seed"):
             value = getattr(self, field)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{field} must be an int, got {value!r}")
-            if value < 1:
+            if value < 1 and field != "seed":
                 raise InputError(f"{field} must be at least 1")
         density = self.policy_density
         if not isinstance(density, (int, float)) or isinstance(density, bool):
@@ -165,10 +165,6 @@ FIXTURE_CLASSIFICATION = {
 
 def fixture(name: str) -> System:
     """One of the named separating machines."""
-    try:
-        build = _FIXTURES[name]
-    except KeyError:
-        raise InputError(
-            f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}"
-        ) from None
-    return build()
+    if not _known(name, _FIXTURES):
+        raise InputError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return _FIXTURES[name]()

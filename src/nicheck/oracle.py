@@ -122,8 +122,8 @@ def bounded_check(
     (`semantics.CHILD_KEYS`), the one `TraceProfile.step` uses, and a trace
     tuple is built only for a key class's representative or a reported
     pair.  Every profile and last-level key interns its components in the
-    one table the root profile made, so every key but an `ip` key is one int
-    at any depth, and the system is left untouched.  A trace's key is
+    one table the root profile made, so every key is one int at any depth,
+    and the system is left untouched.  A trace's key is
     computed and looked up only for the domains its last action may
     interfere with (`System._moved`); every other domain keeps its parent's
     key and, the parent having passed, clashes exactly when its observation

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
-from .system import FINAL_SUFFIX, NULL_OBS, Policy, System
+from .system import FINAL_SUFFIX, NULL_OBS, Policy, System, _known
 
 #: Domain that spells out the candidate word, letter by letter.
 SPELLER = "speller"
@@ -51,6 +51,8 @@ class PcpInstance:
     def __post_init__(self):
         object.__setattr__(self, "tops", tuple(self.tops))
         object.__setattr__(self, "bottoms", tuple(self.bottoms))
+        if not isinstance(self.alphabet, str):
+            raise InputError(f"alphabet must be a str, got {self.alphabet!r}")
         letters = set(self.alphabet)
         if len(letters) < 2 or len(letters) != len(self.alphabet):
             raise InputError("alphabet needs at least two distinct letters")
@@ -60,6 +62,8 @@ class PcpInstance:
         if not self.tops or len(self.tops) != len(self.bottoms):
             raise InputError("need two equally long nonempty word lists")
         for word in self.tops + self.bottoms:
+            if not isinstance(word, str):
+                raise InputError(f"word {word!r} is not a str")
             if not word or not set(word) <= letters:
                 raise InputError(f"word {word!r} is empty or uses letters outside the alphabet")
 
@@ -169,6 +173,8 @@ def _check_solution(instance: PcpInstance, solution: Iterable[int]) -> tuple[int
     if not solution:
         raise InputError("a solution must use at least one index")
     for j in solution:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise InputError(f"index {j!r} is not an int")
         if not 1 <= j <= instance.size:
             raise InputError(f"index {j} out of range 1..{instance.size}")
     top = "".join(instance.tops[j - 1] for j in solution)
@@ -268,9 +274,9 @@ def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
     out: list[str] = []
     gone_final: set[str] = set()
     for a in alpha:
-        d = augmented.action_domain.get(a)
-        if d is None:
+        if not _known(a, augmented.action_domain):
             raise InputError(f"unknown action {a!r}")
+        d = augmented.action_domain[a]
         if d in gone_final:
             continue
         if a in finals:

@@ -273,7 +273,7 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # child, and the bounded scan reads its last level straight from them.
 #
 # Every key of u changes only at actions whose domain may interfere with u:
-# purge_u, the position mask behind ipurge_u and the trees move only where
+# purge_u, ipurge_u with its position mask, and the trees move only where
 # the policy row of the acting domain holds u.  So every other domain keeps
 # its parent's key, and `bounded_check` skips those domains on the strength
 # of this.  `moved` may be any subset of `System._moved[ai]`: `step` passes
@@ -286,11 +286,24 @@ def _child_p(profile, ai, moved, after):
 
 
 def _child_ip(profile, ai, moved, after):
-    system = profile.system
-    action = system.actions[ai]
-    masks = profile.keys
-    linked = masks[system._dom[ai]]
-    return [profile.masked(masks[u] | linked) + (action,) for u in moved]
+    # keys[v] is the id of the trace at masks[v]; any other mask is walked.
+    table, keys, masks = profile.table, profile.keys, profile.masks
+    linked = masks[profile.system._dom[ai]]
+    out = []
+    for u in moved:
+        m = masks[u] | linked
+        k = keys[u] if m == masks[u] else (
+            keys[masks.index(m)] if m in masks else _walk_id(profile, m))
+        out.append(table.setdefault((k, ai), len(table)))
+    return out
+
+
+def _walk_id(profile, mask):
+    table, aidx, k = profile.table, profile.system._aidx, 0
+    for i, a in enumerate(profile.trace):
+        if mask >> i & 1:
+            k = table.setdefault((k, aidx[a]), len(table))
+    return k
 
 
 def _child_ta(profile, ai, moved, after):
@@ -343,17 +356,17 @@ class TraceProfile:
     Nothing turns an id back into its value; `oracle.trace_key` reads the
     definitional functions instead, so no witness check reads a profile.
 
-    Under `ip`, `keys[u]` is not the key but an int bitmask of the trace
-    positions that a permitted chain links to u, and `key(ui)` reads the
-    intransitive purge off it.  Appending an action of domain d at position
-    n sets every u that d may interfere with to u | d | {n}: the positions
-    linked to the set {u, d} are those linked to u or to d, and a chain
-    through the new action must reach d before it.
+    Every key is an int id.  Under `ip`, `masks[u]` (None otherwise) is an
+    int bitmask of the trace positions a permitted chain links to u, and
+    `keys[u]` is the id of the trace at them: u's intransitive purge.  An
+    action of d at position n sets every u that d may interfere with to
+    u | d | {n}: the positions linked to the set {u, d} are those linked to
+    u or to d, and a chain through the new action must reach d before it.
     """
 
-    __slots__ = ("system", "notion", "table", "state", "trace", "keys", "views", "_masked")
+    __slots__ = ("system", "notion", "table", "state", "trace", "keys", "views", "masks")
 
-    def __init__(self, system, notion, table, state, trace, keys, views):
+    def __init__(self, system, notion, table, state, trace, keys, views, masks):
         self.system = system
         self.notion = notion
         self.table = table
@@ -361,7 +374,7 @@ class TraceProfile:
         self.trace = trace
         self.keys = keys
         self.views = views
-        self._masked = {}
+        self.masks = masks
 
     @classmethod
     def start(cls, system: System, notion: str) -> "TraceProfile":
@@ -371,10 +384,12 @@ class TraceProfile:
             raise InputError(f"unknown security notion {notion!r}")
         s0 = system.state_index(system.initial)
         table = {None: 0}  # id 0: the empty sequence and the empty-history tree
+        nd = len(system.policy.domains)
         views = None
         if notion in ("to", "ito"):
             views = [table.setdefault((0, t), len(table)) for t in system._obs[s0]]
-        return cls(system, notion, table, s0, (), [0] * len(system.policy.domains), views)
+        masks = [0] * nd if notion == "ip" else None
+        return cls(system, notion, table, s0, (), [0] * nd, views, masks)
 
     def step(self, ai: int) -> "TraceProfile":
         """The profile of the trace extended by the action of index `ai`."""
@@ -385,13 +400,14 @@ class TraceProfile:
         obs = sys._obs[state]
 
         grown = list(keys)
-        if self.notion == "ip":
-            linked = keys[d] | 1 << len(self.trace)
+        for u, k in zip(moved, CHILD_KEYS[self.notion](self, ai, moved, obs)):
+            grown[u] = k
+        masks = self.masks
+        if masks is not None:
+            linked = masks[d] | 1 << len(self.trace)
+            masks = list(masks)
             for u in moved:
-                grown[u] |= linked
-        else:
-            for u, k in zip(moved, CHILD_KEYS[self.notion](self, ai, moved, obs)):
-                grown[u] = k
+                masks[u] |= linked
 
         views = self.views
         if views is not None:
@@ -407,19 +423,8 @@ class TraceProfile:
                         views[v] = table.setdefault((views[v], o), len(table))
 
         return TraceProfile(sys, self.notion, table, state,
-                            self.trace + (sys.actions[ai],), grown, views)
+                            self.trace + (sys.actions[ai],), grown, views, masks)
 
-    def key(self, ui: int):
-        """The key of domain index `ui`: an interned id, or under `ip` the
-        intransitive purge, equal to the module-level `ipurge`."""
-        k = self.keys[ui]
-        return self.masked(k) if self.notion == "ip" else k
-
-    def masked(self, mask: int) -> tuple[str, ...]:
-        """The actions of the trace at the positions set in `mask`, memoised
-        per mask."""
-        got = self._masked.get(mask)
-        if got is None:
-            got = self._masked[mask] = tuple(
-                [a for i, a in enumerate(self.trace) if mask >> i & 1])
-        return got
+    def key(self, ui: int) -> int:
+        """The key of domain index `ui`: an interned id."""
+        return self.keys[ui]

@@ -63,11 +63,23 @@ class TestGenRandomSystem:
         with pytest.raises(nc.InputError, match="policy_density must be a number, got 'x'"):
             nc.GenParams(1, 1, 1, 1, "x", 0)
 
+    # A seed other than an int would reach `random.Random` and either fail
+    # there with a bare TypeError or, for None, seed from the OS.
+    @pytest.mark.parametrize("seed", [[1], None, True, 1.5, "3"])
+    def test_non_int_seed_is_an_input_error(self, seed):
+        with pytest.raises(nc.InputError) as err:
+            nc.GenParams(2, 1, 1, 2, 0.5, seed)
+        assert str(err.value) == f"seed must be an int, got {seed!r}"
+
 
 class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(nc.InputError):
             nc.fixture("fig9")
+
+    def test_unhashable_name_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match=r"unknown fixture \['fig5'\]"):
+            nc.fixture(["fig5"])
 
     def test_all_fixtures_validate(self):
         for name in nc.FIXTURE_NAMES:

@@ -10,6 +10,7 @@ import pytest
 import nicheck as nc
 import reference_scan
 from conftest import corpus_params, hidden_bit_system, random_trace
+from nicheck import semantics
 from nicheck.semantics import CHILD_KEYS, TraceProfile
 
 
@@ -341,11 +342,11 @@ class TestLastLevelKeys:
 
 class TestScanKeyRepresentation:
     def test_scan_keys_are_ints(self, pcp_demo):
-        # Every key but `ip` is one interned int, from a stepped profile and
-        # straight off a parent alike, however deep the trace.
+        # Every key is one interned int, from a stepped profile and straight
+        # off a parent alike, however deep the trace.
         s = pcp_demo
         nd, na = len(s.policy.domains), len(s.actions)
-        for notion in ("p", "ta", "to", "ito"):
+        for notion in nc.NOTIONS:
             level = [TraceProfile.start(s, notion)]
             for _ in range(3):
                 level = [p.step(ai) for p in level for ai in range(na)]
@@ -356,6 +357,28 @@ class TestScanKeyRepresentation:
                     moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
                     keys += CHILD_KEYS[notion](profile, ai, moved, after)
                 assert all(type(k) is int for k in keys), notion
+
+    def test_ip_walks_only_masks_no_domain_holds(self, pcp_demo, fig6, monkeypatch):
+        # An `ip` key is read off a domain whose position mask equals the
+        # union it needs, and the trace is walked only when none does.  Both
+        # branches run: the walk on fig6, where L's mask and D1's do not nest
+        # after h1 d2, and never on pcp_demo or on a deep one-action machine.
+        walks = []
+        walk = semantics._walk_id
+
+        def counted(profile, mask):
+            walks.append(mask)
+            return walk(profile, mask)
+
+        monkeypatch.setattr(semantics, "_walk_id", counted)
+        swap = nc.System(nc.Policy(("A",)), ("s0", "s1"), "s0", {"a": "A"},
+                         {("s0", "a"): "s1", ("s1", "a"): "s0"},
+                         {("s0", "A"): "0", ("s1", "A"): "1"})
+        for s, depth in ((pcp_demo, 4), (swap, 2_000)):
+            assert not nc.bounded_check(s, "ip", depth).insecure
+            assert walks == [], s.policy.domains
+        assert not nc.bounded_check(fig6, "ip", 6).insecure
+        assert walks
 
     def test_flattened_view_components_are_gone(self, fig5):
         for notion in ("tview", "ftview"):
@@ -449,7 +472,7 @@ class TestCheckedDomains:
             # Profiles below the last level still step every moved domain,
             # since an unchecked actor's keys feed the checked domains' keys.
             stepped = {u for length, moved in calls if length < depth - 1 for u in moved}
-            assert stepped == (set() if notion == "ip" else set(range(4)))
+            assert stepped == set(range(4))
 
 
 class TestCollectorPaused:

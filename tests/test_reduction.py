@@ -33,6 +33,16 @@ class TestPcpInstance:
         with pytest.raises(nc.InputError):
             nc.PcpInstance("ab", ("a",), ("b", "a"))
 
+    def test_rejects_non_str_alphabet(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.PcpInstance(12, ("a",), ("b",))
+        assert str(err.value) == "alphabet must be a str, got 12"
+
+    def test_rejects_non_str_word(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.PcpInstance("ab", (["a"],), ("b",))
+        assert str(err.value) == "word ['a'] is not a str"
+
     def test_rejects_non_alphanumeric_letter(self):
         with pytest.raises(nc.InputError) as err:
             nc.PcpInstance("a-", ("a",), ("-",))
@@ -106,6 +116,17 @@ class TestPcpWitness:
             nc.pcp_witness(nc.DEMO_INSTANCE, ())
         with pytest.raises(nc.InputError):
             nc.pcp_witness(nc.DEMO_INSTANCE, (4,))
+
+    def test_non_int_index_rejected(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.pcp_witness(nc.DEMO_INSTANCE, ["3", 2, 3, 1])
+        assert str(err.value) == "index '3' is not an int"
+
+    def test_bool_index_rejected(self):
+        # True would otherwise read as index 1.
+        with pytest.raises(nc.InputError) as err:
+            nc.pcp_witness(nc.DEMO_INSTANCE, [True])
+        assert str(err.value) == "index True is not an int"
 
     def test_solution_differing_only_in_length_rejected(self):
         with pytest.raises(nc.InputError) as err:
@@ -182,6 +203,11 @@ class TestConvertback:
         with pytest.raises(nc.InputError) as err:
             nc.convertback(nc.augment_final(fig8), ("d!", "zz"))
         assert str(err.value) == "unknown action 'zz'"
+
+    def test_unhashable_action_rejected(self, fig5):
+        with pytest.raises(nc.InputError) as err:
+            nc.convertback(fig5, [["h"]])
+        assert str(err.value) == "unknown action ['h']"
 
     def test_file_round_trip_converts_alike(self, fig8):
         aug = nc.augment_final(fig8)
