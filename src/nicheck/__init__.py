@@ -50,7 +50,6 @@ from .oracle import (
     exact_pair_check_ip,
     exact_pair_check_p,
     trace_key,
-    validate_witness,
 )
 from .reduction import (
     DEMO_INSTANCE,

@@ -323,15 +323,3 @@ def check_witness_pair(system: System, notion: str, u: str, alpha, beta) -> bool
     end_b = run(system, system.initial, beta)
     return system.obs(end_a, u) != system.obs(end_b, u)
 
-
-def validate_witness(system: System, notion: str, verdict: Verdict) -> bool:
-    """Re-check a decider's verdict against the definitional semantics.
-
-    Secure verdicts validate vacuously; an insecure one must name a genuine
-    violating pair for one of the decided notions (see `check_witness_pair`).
-    """
-    if verdict.secure:
-        return True
-    if notion not in ("p", "ip", "ta"):
-        raise InputError(f"no decider notion {notion!r}")
-    return check_witness_pair(system, notion, verdict.domain, verdict.alpha, verdict.beta)

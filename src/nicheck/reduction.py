@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
-from .system import FINAL_SUFFIX, NULL_OBS, Policy, System, _known
+from .system import FINAL_SUFFIX, NULL_OBS, Policy, System, _known, _tuple_of
 
 #: Domain that spells out the candidate word, letter by letter.
 SPELLER = "speller"
@@ -36,6 +36,14 @@ OUTCOME_BOTTOMS = "bottoms"
 OUTCOME_FAIL = "fail"
 
 
+def _sequence(value, name: str) -> tuple:
+    """`value` as a tuple; a str, which `tuple` would read letter by letter,
+    or a non-iterable raises `InputError` naming the argument."""
+    if isinstance(value, str):
+        raise InputError(f"{name} must be a sequence, not the str {value!r}")
+    return _tuple_of(value, name)
+
+
 @dataclass(frozen=True)
 class PcpInstance:
     """A word-correspondence puzzle: two equal-length lists of nonempty words.
@@ -49,8 +57,8 @@ class PcpInstance:
     bottoms: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tops", tuple(self.tops))
-        object.__setattr__(self, "bottoms", tuple(self.bottoms))
+        object.__setattr__(self, "tops", _sequence(self.tops, "tops"))
+        object.__setattr__(self, "bottoms", _sequence(self.bottoms, "bottoms"))
         if not isinstance(self.alphabet, str):
             raise InputError(f"alphabet must be a str, got {self.alphabet!r}")
         letters = set(self.alphabet)
@@ -169,7 +177,7 @@ def build_pcp_system(instance: PcpInstance) -> System:
 
 
 def _check_solution(instance: PcpInstance, solution: Iterable[int]) -> tuple[int, ...]:
-    solution = tuple(solution)
+    solution = _sequence(solution, "solution")
     if not solution:
         raise InputError("a solution must use at least one index")
     for j in solution:

@@ -169,23 +169,14 @@ class InfoTree:
         return f"Node({self.left!r}, {self.mid!r}, {self.action})"
 
 
-def _leaf(system: System, payload) -> InfoTree:
-    key = ("L", payload)
-    table = system._trees
-    node = table.get(key)
-    if node is None:
-        node = table[key] = InfoTree(None, None, None, payload)
-    return node
-
-
-def _node(system: System, left: InfoTree, mid: InfoTree, action: str) -> InfoTree:
+def _cons(system: System, left=None, mid=None, action=None, payload=None) -> InfoTree:
     # Children are already consed, so identity keys give exact structural
-    # sharing without deep comparisons.
-    key = ("N", id(left), id(mid), action)
+    # sharing without deep comparisons; a leaf has neither child nor action.
+    key = (id(left), id(mid), action, payload)
     table = system._trees
     node = table.get(key)
     if node is None:
-        node = table[key] = InfoTree(left, mid, action, None)
+        node = table[key] = InfoTree(left, mid, action, payload)
     return node
 
 
@@ -195,14 +186,14 @@ def ta(system: System, u: str, alpha: Iterable[str]) -> InfoTree:
     plus the fact that the action happened."""
     ui, idxs = _indices(system, u, alpha)
     may, dom, names = system._may, system._dom, system.actions
-    vec = [_leaf(system, EPSILON)] * len(system.policy.domains)
+    vec = [_cons(system, payload=EPSILON)] * len(system.policy.domains)
     for a in idxs:
         d = dom[a]
         transmitted = vec[d]
         row = may[d]
         for v in range(len(vec)):
             if row[v]:
-                vec[v] = _node(system, vec[v], transmitted, names[a])
+                vec[v] = _cons(system, vec[v], transmitted, names[a])
     return vec[ui]
 
 
@@ -214,13 +205,13 @@ def _transmitted(system: System, u: str, alpha: Iterable[str], immediate: bool) 
     may, dom, names = system._may, system._dom, system.actions
     domains = system.policy.domains
     alpha = [names[a] for a in idxs]
-    tree = _leaf(system, (OBS, system._obs[system.state_index(system.initial)][ui]))
+    tree = _cons(system, payload=(OBS, system._obs[system.state_index(system.initial)][ui]))
     for i, a in enumerate(idxs):
         d = dom[a]
         if may[d][ui]:
             seen = alpha[: i + 1] if immediate and d != ui else alpha[:i]
-            sent = _leaf(system, ("v", view(system, domains[d], seen)))
-            tree = _node(system, tree, sent, names[a])
+            sent = _cons(system, payload=("v", view(system, domains[d], seen)))
+            tree = _cons(system, tree, sent, names[a])
     return tree
 
 
@@ -252,6 +243,8 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
     Concretely: no domain in the image of both actors occurs among `u` and
     the domains acting from position i onward.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise InputError(f"position must be an int, got {i!r}")
     ui, idxs = _indices(system, u, alpha)
     if not 0 <= i < len(idxs) - 1:
         raise InputError(f"position {i} out of range for a trace of length {len(idxs)}")

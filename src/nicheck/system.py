@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import InputError
 
@@ -18,6 +18,8 @@ from .errors import InputError
 NULL_OBS = "_"
 #: Action `x` + FINAL_SUFFIX in the domain of `x` is the final variant of `x`.
 FINAL_SUFFIX = "!"
+#: `System.from_functions` refuses a machine with more reachable states.
+MAX_STATES = 1_000_000
 
 
 @contextlib.contextmanager
@@ -48,6 +50,14 @@ def _bad_name(name) -> bool:
     return not isinstance(name, str) or "#" in name or name.split() != [name]
 
 
+def _tuple_of(value, name: str) -> tuple:
+    """`value` as a tuple; `InputError` naming the argument if not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{name} must be iterable, got {value!r}") from None
+
+
 def _known(name, names) -> bool:
     """`name in names`, except that an unhashable name is never known."""
     try:
@@ -67,14 +77,14 @@ class Policy:
     __slots__ = ("domains", "edges", "_index")
 
     def __init__(self, domains: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        self.domains = tuple(domains)
+        self.domains = _tuple_of(domains, "domains")
         for name in self.domains:
             if _bad_name(name):
                 raise InputError(f"bad domain name {name!r}")
         self._index = {d: i for i, d in enumerate(self.domains)}
         if len(self._index) != len(self.domains):
             raise InputError("duplicate domain declaration")
-        edges = tuple(edges)
+        edges = _tuple_of(edges, "edges")
         for edge in edges:
             if not (isinstance(edge, tuple) and len(edge) == 2):
                 raise InputError(f"interference edge {edge!r}: not a (domain, domain) pair")
@@ -153,28 +163,34 @@ class System:
         transitions: Mapping[tuple[str, str], str] | None = None,
         observations: Mapping[tuple[str, str], str] | None = None,
     ):
+        if not isinstance(policy, Policy):
+            raise InputError(f"policy must be a Policy, got {policy!r}")
+        for name, table in (("actions", actions), ("transitions", transitions),
+                            ("observations", observations)):
+            if not (isinstance(table, Mapping) or table is None and name != "actions"):
+                raise InputError(f"{name} must be a mapping, got {table!r}")
         self.policy = policy
-        self.states = tuple(states)
+        self.states = _tuple_of(states, "states")
         self.initial = initial
         self.actions = tuple(actions)
         self.action_domain = dict(actions)
         self.transitions = dict(transitions or {})
         self.observations = dict(observations or {})
-        self.diagnostics: tuple[str, ...] = tuple(self._check_and_build())
-        self.require_valid()
+        self._check_and_build()
         self._trees: dict = {}
         self._reach: list[int] | None = None
         self._parent: list[int] = []
 
     # -- validation and tables --------------------------------------------
 
-    def _check_and_build(self) -> list[str]:
+    def _check_and_build(self) -> None:
         """Check every declaration and fill the tables in one walk.
 
         Each declared transition and observation is resolved to indices
         once; its diagnostics are appended in declaration order, and its
-        table cell is written while no diagnostic has been found.  Returns
-        the diagnostics; the tables are kept only when there are none.
+        table cell is written while no diagnostic has been found.  Raises
+        `InputError` with every diagnostic, the first in its message, when
+        there is any; otherwise keeps the tables.
         """
         out: list[str] = []
         states, actions, policy = self.states, self.actions, self.policy
@@ -243,7 +259,7 @@ class System:
             if not out:
                 obs[si][di] = token
         if out:
-            return out
+            raise InputError(f"invalid system: {out[0]}", out)
 
         self._sidx, self._aidx = sidx, aidx
         self._step = [tuple(row) for row in step]
@@ -260,15 +276,9 @@ class System:
         # keys it may change.
         image = [tuple([v for v in range(nd) if row[v]]) for row in self._may]
         self._moved = [image[di] for di in self._dom]
-        return out
 
     def require_valid(self) -> None:
-        """Raise `InputError` listing every problem the constructor found;
-        the constructor calls it, so it passes on every System that exists."""
-        if self.diagnostics:
-            raise InputError(
-                f"invalid system: {self.diagnostics[0]}", self.diagnostics
-            )
+        """Does nothing: the constructor has already checked the System."""
 
     # -- helpers used across the package ---------------------------------
 
@@ -345,7 +355,6 @@ class System:
         step_fn: Callable,
         obs_fn: Callable,
         name_fn: Callable = str,
-        max_states: int = 1_000_000,
     ) -> "System":
         """Build the reachable part of a machine given behaviourally.
 
@@ -354,7 +363,8 @@ class System:
         Exploration is one breadth-first pass with actions in declaration
         order that names each state as it is found and records each
         transition, so the state numbering (and hence everything downstream)
-        is deterministic.
+        is deterministic.  Raises `InputError` once more than `MAX_STATES`
+        states are found.
         """
         action_names = tuple(actions)
         index = {initial: 0}
@@ -366,8 +376,8 @@ class System:
                 t = step_fn(s, a)
                 j = index.get(t)
                 if j is None:
-                    if len(order) >= max_states:
-                        raise InputError(f"state space exceeds {max_states} states")
+                    if len(order) >= MAX_STATES:
+                        raise InputError(f"state space exceeds {MAX_STATES} states")
                     j = index[t] = len(order)
                     order.append(t)
                     names.append(name_fn(t))

@@ -48,6 +48,17 @@ class TestPcpInstance:
             nc.PcpInstance("a-", ("a",), ("-",))
         assert str(err.value) == "letters must be alphanumeric, got '-'"
 
+    def test_rejects_non_iterable_word_list(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.PcpInstance("ab", 5, 5)
+        assert str(err.value) == "tops must be iterable, got 5"
+
+    def test_rejects_str_word_list(self):
+        # A str would otherwise be read letter by letter as a list of words.
+        with pytest.raises(nc.InputError) as err:
+            nc.PcpInstance("ab", "ab", "ba")
+        assert str(err.value) == "tops must be a sequence, not the str 'ab'"
+
 
 class TestBuildPcpSystem:
     def test_fixed_policy_and_four_domains(self, pcp_demo):
@@ -121,6 +132,11 @@ class TestPcpWitness:
         with pytest.raises(nc.InputError) as err:
             nc.pcp_witness(nc.DEMO_INSTANCE, ["3", 2, 3, 1])
         assert str(err.value) == "index '3' is not an int"
+
+    def test_non_iterable_solution_rejected(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.pcp_witness(nc.DEMO_INSTANCE, 3)
+        assert str(err.value) == "solution must be iterable, got 3"
 
     def test_bool_index_rejected(self):
         # True would otherwise read as index 1.

@@ -186,6 +186,13 @@ class TestSwappable:
         with pytest.raises(nc.InputError):
             nc.swappable(fig5, "L", ("h", "d"), 1)
 
+    @pytest.mark.parametrize("position", [True, "0", 1.0])
+    def test_position_must_be_an_int(self, fig5, position):
+        # True would otherwise read as position 1.
+        with pytest.raises(nc.InputError) as err:
+            nc.swappable(fig5, "L", ("h", "d", "l"), position)
+        assert str(err.value) == f"position must be an int, got {position!r}"
+
     def test_swap_preserves_ta(self):
         rng = random.Random(29)
         positives = 0

@@ -211,7 +211,6 @@ def _rejected(states=("s0",), initial="s0", actions=None,
 
 class TestValidate:
     def test_wellformed_fixture_is_ok(self, fig5):
-        assert fig5.diagnostics == ()
         fig5.require_valid()
         assert nc.System(fig5.policy, fig5.states, fig5.initial, fig5.action_domain,
                          fig5.transitions, fig5.observations) == fig5
@@ -321,6 +320,27 @@ class TestValidate:
             nc.Policy(("A", "B"), (edge,))
         assert list(err.value.diagnostics) == [diagnostic]
 
+    @pytest.mark.parametrize("build, diagnostic", [
+        (lambda: _system(actions=None), "actions must be a mapping, got None"),
+        (lambda: _system(actions=5), "actions must be a mapping, got 5"),
+        (lambda: _system(actions=["a"]), "actions must be a mapping, got ['a']"),
+        (lambda: _system(transitions=[1, 2]), "transitions must be a mapping, got [1, 2]"),
+        (lambda: _system(observations=3), "observations must be a mapping, got 3"),
+        (lambda: _system(states=None), "states must be iterable, got None"),
+        (lambda: _system(policy=None), "policy must be a Policy, got None"),
+        (lambda: nc.Policy(None), "domains must be iterable, got None"),
+        (lambda: nc.Policy(("A",), None), "edges must be iterable, got None"),
+    ])
+    def test_malformed_argument_is_named(self, build, diagnostic):
+        with pytest.raises(nc.InputError) as err:
+            build()
+        assert list(err.value.diagnostics) == [diagnostic]
+
+
+def _system(policy=nc.Policy(("A",)), states=("s0",), actions={"a": "A"},
+            transitions=None, observations=None) -> nc.System:
+    return nc.System(policy, states, "s0", actions, transitions, observations)
+
 
 def _bad_name_reference(name) -> bool:
     return (
@@ -387,10 +407,11 @@ class TestFromFunctions:
                 lambda s, a: 1 - s, lambda s, d: "x", name_fn=lambda s: "same",
             )
 
-    def test_state_budget_enforced(self):
+    def test_state_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(nc.system, "MAX_STATES", 1)
         with pytest.raises(nc.InputError) as err:
             nc.System.from_functions(
                 nc.Policy(("A",)), {"a": "A"}, 0,
-                lambda s, a: 1 - s, lambda s, d: "x", max_states=1,
+                lambda s, a: 1 - s, lambda s, d: "x",
             )
         assert str(err.value) == "state space exceeds 1 states"

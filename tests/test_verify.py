@@ -132,7 +132,7 @@ class TestDecideP:
         assert not v.secure and v.domain == "L"
         assert v.alpha == ("h", "d") and v.beta == ("d",)
         assert nc.purge(fig5, "L", v.alpha) == nc.purge(fig5, "L", v.beta)
-        assert nc.validate_witness(fig5, "p", v)
+        assert nc.check_witness_pair(fig5, "p", v.domain, v.alpha, v.beta)
         # witness pair differs only by inserted h actions
         assert tuple(a for a in v.alpha if a != "h") == v.beta
 
@@ -165,7 +165,7 @@ class TestDecideIP:
         assert not v.secure
         assert (v.domain, v.alpha, v.beta) == ("L", ("h",), ())
         assert nc.ipurge(direct_leak, "L", v.alpha) == nc.ipurge(direct_leak, "L", v.beta)
-        assert nc.validate_witness(direct_leak, "ip", v)
+        assert nc.check_witness_pair(direct_leak, "ip", v.domain, v.alpha, v.beta)
 
 
 class TestDecideTA:
@@ -173,7 +173,6 @@ class TestDecideTA:
         v = nc.decide_ta(fig6)
         assert not v.secure and v.domain == "L"
         assert nc.ta(fig6, "L", v.alpha) is nc.ta(fig6, "L", v.beta)
-        assert nc.validate_witness(fig6, "ta", v)
         assert nc.check_witness_pair(fig6, "ta", v.domain, v.alpha, v.beta)
 
     def test_fig5_and_fig8_secure(self, fig5, fig8):
@@ -198,17 +197,10 @@ class TestDecideTA:
 
 
 class TestValidateWitness:
-    def test_secure_verdict_validates_vacuously(self, fig5):
-        assert nc.validate_witness(fig5, "ta", nc.SECURE)
-
     def test_corrupted_witness_rejected(self, fig5):
         good = nc.decide_p(fig5)
         bad = nc.Verdict(False, good.domain, good.alpha, good.beta + ("d",))
-        assert not nc.validate_witness(fig5, "p", bad)
-
-    def test_unknown_notion(self, fig5):
-        with pytest.raises(nc.InputError):
-            nc.validate_witness(fig5, "to", nc.decide_p(fig5))
+        assert not nc.check_witness_pair(fig5, "p", bad.domain, bad.alpha, bad.beta)
 
 
 class TestAgreementSmoke:
