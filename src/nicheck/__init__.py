@@ -7,6 +7,8 @@ undecidable ones interesting: a word-correspondence encoding and the
 final-action augmentation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import BudgetError, InputError
 from .system import (
     NULL_OBS,
@@ -69,4 +71,7 @@ from .generate import (
 )
 from .fileformat import parse_system, serialize_system
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, without the submodules that importing them binds here, so
+# a star import rebinds none of a caller's names such as `system`.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

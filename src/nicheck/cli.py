@@ -15,7 +15,7 @@ import time
 from .errors import BudgetError, InputError
 from .fileformat import parse_system, serialize_system
 from .generate import FIXTURE_NAMES, GenParams, fixture, gen_random_system
-from .oracle import NOTIONS, bounded_check
+from .oracle import DEFAULT_TRACE_BUDGET, NOTIONS, bounded_check
 from .reduction import PcpInstance, augment_final, build_pcp_system, pcp_witness
 from .system import System, gc_paused, run
 from .verify import decide_ip, decide_p, decide_ta
@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounded", help="enumerate traces up to a depth")
     p.add_argument("--notion", choices=list(NOTIONS), required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_TRACE_BUDGET,
+                   help="most traces to enumerate (default: %(default)s)")
     p.add_argument("file")
 
     p = sub.add_parser("reduce-pcp", help="encode a word-correspondence instance")
@@ -152,8 +153,7 @@ def _run(args) -> int:
 
     if args.command == "bounded":
         system = _load(args.file)
-        kwargs = {"budget": args.budget} if args.budget is not None else {}
-        outcome = bounded_check(system, args.notion, args.depth, **kwargs)
+        outcome = bounded_check(system, args.notion, args.depth, args.budget)
         if outcome.insecure:
             print(_witness_json(system, args.notion, outcome.domain,
                                 outcome.alpha, outcome.beta))

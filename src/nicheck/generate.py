@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .reduction import DEMO_INSTANCE, build_pcp_system
-from .system import Policy, System, _known
+from .system import Policy, System, _int_of, _known
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class GenParams:
 
     def __post_init__(self):
         for field in ("num_states", "num_actions", "num_domains", "obs_alphabet_size", "seed"):
-            value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{field} must be an int, got {value!r}")
-            if value < 1 and field != "seed":
+            if _int_of(getattr(self, field), field) < 1 and field != "seed":
                 raise InputError(f"{field} must be at least 1")
         density = self.policy_density
         if not isinstance(density, (int, float)) or isinstance(density, bool):

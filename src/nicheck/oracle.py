@@ -14,10 +14,10 @@ from typing import Optional
 
 from .errors import BudgetError, InputError
 from .semantics import CHILD_KEYS, TraceProfile, ftview, ipurge, purge, ta, tview
-from .system import System, gc_paused, run
+from .system import System, _int_of, _lookup, _tuple_of, gc_paused, run
 from .verify import Verdict
 
-NOTIONS = ("p", "ip", "ta", "to", "ito")
+NOTIONS = tuple(CHILD_KEYS)
 
 #: Enumeration guard: refuse bounded checks beyond this many traces.
 DEFAULT_TRACE_BUDGET = 5_000_000
@@ -65,9 +65,8 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     against a different representation, independently of the recurrences
     that found it.
     """
-    if notion not in NOTIONS:
-        raise InputError(f"unknown security notion {notion!r}")
-    alpha = tuple(alpha)
+    _lookup(CHILD_KEYS, notion, "security notion")
+    alpha = _tuple_of(alpha, "alpha")
     if notion in _DEFINED:
         return _DEFINED[notion](system, u, alpha)
     # The flattened keys hold exactly what the information trees record.  The
@@ -137,11 +136,9 @@ def bounded_check(
     with the cyclic garbage collector paused (`gc_paused`).  `depth` and
     `budget` must be ints, not bools, or `InputError` is raised.
     """
-    if notion not in NOTIONS:
-        raise InputError(f"unknown security notion {notion!r}")
-    for name, value in (("depth", depth), ("budget", budget)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"{name} must be an int, got {value!r}")
+    child_keys = _lookup(CHILD_KEYS, notion, "security notion")
+    _int_of(depth, "depth")
+    _int_of(budget, "budget")
     if depth < 0:
         raise InputError(f"depth must be non-negative, got {depth}")
     n_actions = len(system.actions)
@@ -155,7 +152,6 @@ def bounded_check(
     domains = system.policy.domains
     nd = len(domains)
     obs, step = system._obs, system._step
-    child_keys = CHILD_KEYS[notion]
     # A domain that observes one token in every declared state never tells
     # two traces apart, so only the others are keyed and looked up.
     checked = [u for u, column in enumerate(zip(*obs)) if len(set(column)) > 1]
@@ -316,7 +312,7 @@ def exact_pair_check_ip(system: System) -> Verdict:
 def check_witness_pair(system: System, notion: str, u: str, alpha, beta) -> bool:
     """True when (alpha, beta) genuinely violates the notion for observer u:
     equal security keys but different final observations."""
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = _tuple_of(alpha, "alpha"), _tuple_of(beta, "beta")
     if trace_key(system, notion, u, alpha) != trace_key(system, notion, u, beta):
         return False
     end_a = run(system, system.initial, alpha)

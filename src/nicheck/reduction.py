@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
-from .system import FINAL_SUFFIX, NULL_OBS, Policy, System, _known, _tuple_of
+from .system import FINAL_SUFFIX, NULL_OBS, Policy, System, _lookup, _tuple_of
 
 #: Domain that spells out the candidate word, letter by letter.
 SPELLER = "speller"
@@ -36,14 +36,6 @@ OUTCOME_BOTTOMS = "bottoms"
 OUTCOME_FAIL = "fail"
 
 
-def _sequence(value, name: str) -> tuple:
-    """`value` as a tuple; a str, which `tuple` would read letter by letter,
-    or a non-iterable raises `InputError` naming the argument."""
-    if isinstance(value, str):
-        raise InputError(f"{name} must be a sequence, not the str {value!r}")
-    return _tuple_of(value, name)
-
-
 @dataclass(frozen=True)
 class PcpInstance:
     """A word-correspondence puzzle: two equal-length lists of nonempty words.
@@ -57,8 +49,8 @@ class PcpInstance:
     bottoms: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tops", _sequence(self.tops, "tops"))
-        object.__setattr__(self, "bottoms", _sequence(self.bottoms, "bottoms"))
+        object.__setattr__(self, "tops", _tuple_of(self.tops, "tops"))
+        object.__setattr__(self, "bottoms", _tuple_of(self.bottoms, "bottoms"))
         if not isinstance(self.alphabet, str):
             raise InputError(f"alphabet must be a str, got {self.alphabet!r}")
         letters = set(self.alphabet)
@@ -177,7 +169,7 @@ def build_pcp_system(instance: PcpInstance) -> System:
 
 
 def _check_solution(instance: PcpInstance, solution: Iterable[int]) -> tuple[int, ...]:
-    solution = _sequence(solution, "solution")
+    solution = _tuple_of(solution, "solution")
     if not solution:
         raise InputError("a solution must use at least one index")
     for j in solution:
@@ -242,6 +234,7 @@ def augment_final(system: System) -> System:
     domains = system.policy.domains
     step_tab = system._step
     obs_tab = system._obs
+    aidx = system._aidx
     didx = system.policy._index
 
     def step(s, a: str):
@@ -250,8 +243,8 @@ def augment_final(system: System) -> System:
         if d in done:
             return s
         if a in finals:
-            return (step_tab[base][system.action_index(finals[a])], done | {d})
-        return (step_tab[base][system.action_index(a)], done)
+            return (step_tab[base][aidx[finals[a]]], done | {d})
+        return (step_tab[base][aidx[a]], done)
 
     def obs(s, domain: str) -> str:
         base, done = s
@@ -281,10 +274,8 @@ def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
     finals = augmented.final_action_base
     out: list[str] = []
     gone_final: set[str] = set()
-    for a in alpha:
-        if not _known(a, augmented.action_domain):
-            raise InputError(f"unknown action {a!r}")
-        d = augmented.action_domain[a]
+    for a in _tuple_of(alpha, "alpha"):
+        d = _lookup(augmented.action_domain, a, "action")
         if d in gone_final:
             continue
         if a in finals:

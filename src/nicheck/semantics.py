@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InputError
-from .system import System, _known
+from .system import System, _int_of, _lookup, _tuple_of
 
 ACT = "a"
 OBS = "o"
@@ -31,7 +31,7 @@ EPSILON = ("eps",)
 
 
 def _indices(system: System, u: str, alpha: Iterable[str]) -> tuple[int, list[int]]:
-    return system.policy.index(u), [system.action_index(a) for a in alpha]
+    return system.policy.index(u), [system.action_index(a) for a in _tuple_of(alpha, "alpha")]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,7 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
     Concretely: no domain in the image of both actors occurs among `u` and
     the domains acting from position i onward.
     """
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise InputError(f"position must be an int, got {i!r}")
+    _int_of(i, "position")
     ui, idxs = _indices(system, u, alpha)
     if not 0 <= i < len(idxs) - 1:
         raise InputError(f"position {i} out of range for a trace of length {len(idxs)}")
@@ -373,8 +372,7 @@ class TraceProfile:
     def start(cls, system: System, notion: str) -> "TraceProfile":
         """The profile of the empty trace under `notion`, with a new intern
         table; `InputError` unless `notion` is one of the five notions."""
-        if not _known(notion, CHILD_KEYS):
-            raise InputError(f"unknown security notion {notion!r}")
+        _lookup(CHILD_KEYS, notion, "security notion")
         s0 = system.state_index(system.initial)
         table = {None: 0}  # id 0: the empty sequence and the empty-history tree
         nd = len(system.policy.domains)

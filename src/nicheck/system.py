@@ -51,11 +51,31 @@ def _bad_name(name) -> bool:
 
 
 def _tuple_of(value, name: str) -> tuple:
-    """`value` as a tuple; `InputError` naming the argument if not iterable."""
+    """`value` as a tuple; a str, which `tuple` would read letter by letter,
+    or a non-iterable raises `InputError` naming the argument."""
+    if isinstance(value, str):
+        raise InputError(f"{name} must be a sequence, not the str {value!r}")
     try:
         return tuple(value)
     except TypeError:
         raise InputError(f"{name} must be iterable, got {value!r}") from None
+
+
+def _lookup(table: Mapping, name, what: str):
+    """`table[name]`; `InputError` "unknown {what} ..." when `name` is not a
+    key, unhashable names included."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown {what} {name!r}") from None
+
+
+def _int_of(value, name: str) -> int:
+    """`value` itself; `InputError` naming the argument unless it is an int
+    and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def _known(name, names) -> bool:
@@ -98,10 +118,7 @@ class Policy:
         return _known((u, v), self.edges)
 
     def index(self, u: str) -> int:
-        try:
-            return self._index[u]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown domain {u!r}") from None
+        return _lookup(self._index, u, "domain")
 
     def __eq__(self, other):
         if not isinstance(other, Policy):
@@ -117,10 +134,9 @@ class Policy:
 
 def policy_image(policy: Policy, sources: Iterable[str]) -> set[str]:
     """All domains some member of `sources` may interfere with."""
-    srcs = tuple(sources)
+    srcs = _tuple_of(sources, "sources")
     for u in srcs:
-        if not _known(u, policy._index):
-            raise InputError(f"unknown domain {u!r}")
+        policy.index(u)
     return {v for v in policy.domains for u in srcs if policy.interferes(u, v)}
 
 
@@ -291,16 +307,10 @@ class System:
                 if dom.get(a + FINAL_SUFFIX) == dom[a]}
 
     def state_index(self, s: str) -> int:
-        try:
-            return self._sidx[s]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown state {s!r}") from None
+        return _lookup(self._sidx, s, "state")
 
     def action_index(self, a: str) -> int:
-        try:
-            return self._aidx[a]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown action {a!r}") from None
+        return _lookup(self._aidx, a, "action")
 
     def obs(self, state: str, domain: str) -> str:
         return self._obs[self.state_index(state)][self.policy.index(domain)]
@@ -423,7 +433,7 @@ def run(system: System, start: str, alpha: Iterable[str]) -> str:
     """The state reached from `start` by performing the actions of `alpha` in order."""
     s = system.state_index(start)
     step = system._step
-    for a in alpha:
+    for a in _tuple_of(alpha, "alpha"):
         s = step[s][system.action_index(a)]
     return system.states[s]
 

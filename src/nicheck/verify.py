@@ -186,18 +186,27 @@ def _lr_swap(system: System, reach: list[int], v_actions: list[int], w_actions: 
                 yield row_a[b], step[row[b]][a], s, (names[a], names[b]), (names[b], names[a])
 
 
+def _first_violation(system: System, closures: Iterable) -> Verdict:
+    """Run one closure per (observers, seeds, sync actions) plan, in order:
+    the first witness found is the verdict, and SECURE when none is."""
+    for observers, seeds, sync in closures:
+        hit = _closure(system, observers, seeds, sync)
+        if hit is not None:
+            return Verdict(False, *hit)
+    return SECURE
+
+
 def decide_p(system: System) -> Verdict:
     """Decide security in the purge sense: every domain's observation depends
     only on the actions of domains permitted to interfere with it."""
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     all_actions = list(range(len(system.actions)))
-    for u in range(len(system.policy.domains)):
-        invisible = [a for a in all_actions if not may[dom[a]][u]]
-        hit = _closure(system, [u], _lr_single(system, reach, invisible), all_actions)
-        if hit is not None:
-            return Verdict(False, *hit)
-    return SECURE
+    return _first_violation(system, (
+        ([u], _lr_single(system, reach, [a for a in all_actions if not may[dom[a]][u]]),
+         all_actions)
+        for u in range(len(system.policy.domains))
+    ))
 
 
 def decide_ip(system: System) -> Verdict:
@@ -205,17 +214,12 @@ def decide_ip(system: System) -> Verdict:
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
-    all_actions = list(range(len(system.actions)))
-    for v in range(nd):
-        observers = [u for u in range(nd) if not may[v][u]]
-        if not observers:
-            continue
-        seeds = _lr_single(system, reach, system._domain_actions[v])
-        sync = [a for a in all_actions if not may[v][dom[a]]]
-        hit = _closure(system, observers, seeds, sync)
-        if hit is not None:
-            return Verdict(False, *hit)
-    return SECURE
+    return _first_violation(system, (
+        (observers, _lr_single(system, reach, system._domain_actions[v]),
+         [a for a in range(len(system.actions)) if not may[v][dom[a]]])
+        for v in range(nd)
+        if (observers := [u for u in range(nd) if not may[v][u]])
+    ))
 
 
 def decide_ta(system: System) -> Verdict:
@@ -227,20 +231,11 @@ def decide_ta(system: System) -> Verdict:
     reach = system._reachable_idx()
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
-    all_actions = list(range(len(system.actions)))
-    for v in range(nd):
-        for w in range(v + 1, nd):
-            if may[w][v] or may[v][w]:
-                continue
-            observers = [u for u in range(nd) if not may[w][u] or not may[v][u]]
-            seeds = _lr_swap(
-                system, reach, system._domain_actions[v], system._domain_actions[w]
-            )
-            sync = [
-                a for a in all_actions
-                if not may[v][dom[a]] or not may[w][dom[a]]
-            ]
-            hit = _closure(system, observers, seeds, sync)
-            if hit is not None:
-                return Verdict(False, *hit)
-    return SECURE
+    return _first_violation(system, (
+        ([u for u in range(nd) if not may[w][u] or not may[v][u]],
+         _lr_swap(system, reach, system._domain_actions[v], system._domain_actions[w]),
+         [a for a in range(len(system.actions))
+          if not may[v][dom[a]] or not may[w][dom[a]]])
+        for v in range(nd) for w in range(v + 1, nd)
+        if not (may[w][v] or may[v][w])
+    ))

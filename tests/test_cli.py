@@ -90,6 +90,12 @@ class TestBounded:
         assert code == 3 and not captured.out
         assert "budget 0" in captured.err
 
+    def test_default_budget_is_the_library_default(self, capsys):
+        args = _build_parser().parse_args(["bounded", "--notion", "p", "--depth", "1", "f"])
+        assert args.budget == nc.oracle.DEFAULT_TRACE_BUDGET
+        assert main(["bounded", "--help"]) == 0
+        assert f"(default: {nc.oracle.DEFAULT_TRACE_BUDGET})" in capsys.readouterr().out
+
 
 class TestCollector:
     """One command runs with the cyclic garbage collector off and leaves it

@@ -1,5 +1,6 @@
 import random
 from collections.abc import Mapping
+from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -415,3 +416,61 @@ class TestFromFunctions:
                 lambda s, a: 1 - s, lambda s, d: "x",
             )
         assert str(err.value) == "state space exceeds 1 states"
+
+
+# Every public argument that takes a sequence of names, and a call that passes
+# `bad` there on fig5.  A str is one name, never a sequence of names, so it is
+# refused like any other value that is not a sequence.
+_SEQUENCE_ARGUMENTS = {
+    "Policy.domains": ("domains", lambda f, bad: nc.Policy(bad)),
+    "Policy.edges": ("edges", lambda f, bad: nc.Policy(("A", "B"), bad)),
+    "System.states": ("states", lambda f, bad: nc.System(nc.Policy(("A",)), bad, "s",
+                                                         {"a": "A"})),
+    "policy_image": ("sources", lambda f, bad: nc.policy_image(f.policy, bad)),
+    "run": ("alpha", lambda f, bad: nc.run(f, "s0", bad)),
+    "purge": ("alpha", lambda f, bad: nc.purge(f, "L", bad)),
+    "ipurge": ("alpha", lambda f, bad: nc.ipurge(f, "L", bad)),
+    "sources": ("alpha", lambda f, bad: nc.sources(f, bad, "L")),
+    "view": ("alpha", lambda f, bad: nc.view(f, "L", bad)),
+    "tview": ("alpha", lambda f, bad: nc.tview(f, "L", bad)),
+    "lpre": ("alpha", lambda f, bad: nc.lpre(f, "L", bad)),
+    "ftview": ("alpha", lambda f, bad: nc.ftview(f, "L", bad)),
+    "ta": ("alpha", lambda f, bad: nc.ta(f, "L", bad)),
+    "to": ("alpha", lambda f, bad: nc.to(f, "L", bad)),
+    "ito": ("alpha", lambda f, bad: nc.ito(f, "L", bad)),
+    "swappable": ("alpha", lambda f, bad: nc.swappable(f, "L", bad, 0)),
+    "trace_key": ("alpha", lambda f, bad: nc.trace_key(f, "p", "L", bad)),
+    "check_witness_pair.alpha": ("alpha", lambda f, bad: nc.check_witness_pair(
+        f, "p", "L", bad, ())),
+    "check_witness_pair.beta": ("beta", lambda f, bad: nc.check_witness_pair(
+        f, "p", "L", (), bad)),
+    "convertback": ("alpha", lambda f, bad: nc.convertback(f, bad)),
+}
+
+
+@pytest.mark.parametrize("bad, shape", [("hdl", "a sequence, not the str 'hdl'"),
+                                        (5, "iterable, got 5")], ids=["str", "int"])
+@pytest.mark.parametrize("entry", list(_SEQUENCE_ARGUMENTS))
+def test_sequence_argument_refuses_str_and_int(fig5, entry, bad, shape):
+    argument, call = _SEQUENCE_ARGUMENTS[entry]
+    with pytest.raises(nc.InputError, match=rf"^{argument} must be {shape}$"):
+        call(fig5, bad)
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from nicheck import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+    assert set(namespace) == {
+        "ACT", "BoundedVerdict", "BudgetError", "DEMO_INSTANCE", "DEMO_SOLUTION",
+        "EPSILON", "FIXTURE_CLASSIFICATION", "FIXTURE_NAMES", "GenParams", "InfoTree",
+        "InputError", "NOTIONS", "NULL_OBS", "OBS", "PcpInstance", "Policy", "SECURE",
+        "System", "TraceProfile", "Verdict", "augment_final", "bounded_check",
+        "build_pcp_system", "check_witness_pair", "convertback", "decide_ip",
+        "decide_p", "decide_ta", "exact_pair_check_ip", "exact_pair_check_p",
+        "fixture", "ftview", "gen_random_system", "ipurge", "is_transitive", "ito",
+        "lpre", "parse_system", "pcp_witness", "policy_image", "purge",
+        "reachable_states", "run", "serialize_system", "sources", "swappable", "ta",
+        "to", "trace_key", "tview", "view",
+    }
