@@ -86,6 +86,15 @@ def linear_fit_max_ratio(results) -> float:
     return worst
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """The value of `bench --sizes`: comma-separated ints."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ints, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parsing
@@ -133,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time a decider across system sizes")
     p.add_argument("--notion", choices=sorted(_DECIDERS), default="p")
-    p.add_argument("--sizes", default="1000,10000,100000")
+    p.add_argument("--sizes", type=_sizes, default="1000,10000,100000")
     p.add_argument("--seed", type=int, default=7)
 
     return parser
@@ -186,8 +195,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "bench":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        results = run_scaling_bench(args.notion, sizes, args.seed)
+        results = run_scaling_bench(args.notion, args.sizes, args.seed)
         for r in results:
             print(f"states={r['states']} seconds={r['seconds']:.4f}")
         print(f"linear fit max ratio: {linear_fit_max_ratio(results):.2f}")

@@ -118,23 +118,25 @@ def bounded_check(
     |A|^(depth-1) profiles are held, a number the budget already bounds.  The
     last level is never extended, so its traces get no profile: their keys
     come straight off the parent's profile by the notion's recurrence
-    (`semantics.CHILD_KEYS`), the one `TraceProfile.step` uses, and a trace
-    tuple is built only for a key class's representative or a reported
-    pair.  Every profile and last-level key interns its components in the
-    one table the root profile made, so every key is one int at any depth,
-    and the system is left untouched.  A trace's key is
-    computed and looked up only for the domains its last action may
-    interfere with (`System._moved`); every other domain keeps its parent's
-    key and, the parent having passed, clashes exactly when its observation
-    changed.  Only the checked domains, those that observe at least two
-    tokens over the declared states, have key tables, key lookups or
-    observation comparisons: a domain with one token in every state sees
-    that token at the end of every trace, so none of its key classes holds a
-    violation, and skipping it leaves the first violation as it was.  The
-    profiles still step every domain's key, because an unchecked actor's
-    keys feed the checked ones.  The scan builds no reference cycle and runs
-    with the cyclic garbage collector paused (`gc_paused`).  `depth` and
-    `budget` must be ints, not bools, or `InputError` is raised.
+    (`semantics.CHILD_KEYS`), the one `TraceProfile.step` uses.  A key
+    class's representative is kept as its parent's trace and its last
+    action, so a trace tuple is built only for a reported pair.  Every
+    profile and last-level key interns its components in the one table the
+    root profile made, so every key is one int at any depth, and the system
+    is left untouched.  A trace's key is computed and looked up only for
+    the domains its last action may interfere with (`System._moved`); every
+    other domain keeps its parent's key and, the parent having passed,
+    clashes exactly when its observation changed.  Only the checked
+    domains, those that observe at least two tokens over the declared
+    states, have key tables, key lookups or observation comparisons: a
+    domain with one token in every state sees that token at the end of
+    every trace, so none of its key classes holds a violation, and skipping
+    it leaves the first violation as it was.  The profiles still step every
+    domain's key, because an unchecked actor's keys feed the checked ones.
+    The scan builds no reference cycle and runs with the cyclic garbage
+    collector paused (`gc_paused`); everything it built is freed before the
+    collector is switched back on.  `depth` and `budget` must be ints, not
+    bools, or `InputError` is raised.
     """
     child_keys = _lookup(CHILD_KEYS, notion, "security notion")
     _int_of(depth, "depth")
@@ -148,7 +150,21 @@ def bounded_check(
             f"bounded check would enumerate at least {total} traces "
             f"(budget {budget})", total
         )
+    # `_scan` returns before the pause ends, so its profiles and key tables
+    # are freed while the collector is off, and it never walks them.
+    with gc_paused():
+        return _scan(system, notion, child_keys, depth)
 
+
+def _representative(entry: tuple) -> tuple:
+    """The trace a key-table entry (token, prefix, action) stands for: the
+    prefix extended by the action, or the prefix alone when it is None."""
+    _, prefix, action = entry
+    return prefix if action is None else prefix + (action,)
+
+
+def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict:
+    """The trace enumeration of `bounded_check`, once its arguments are checked."""
     domains = system.policy.domains
     nd = len(domains)
     obs, step = system._obs, system._step
@@ -163,53 +179,50 @@ def bounded_check(
 
     root = TraceProfile.start(system, notion)
     tokens = obs[root.state]
-    # key -> (observation, representative trace); one table per domain
+    # key -> (observation, parent's trace, action); one table per domain.  The
+    # representative trace is built from the entry only for a reported pair.
     seen: list[dict] = [{} for _ in range(nd)]
     for u in checked:
-        seen[u][root.key(u)] = (tokens[u], ())
+        seen[u][root.key(u)] = (tokens[u], (), None)
     frontier = [root]
-    with gc_paused():
-        for length in range(1, depth + 1):
-            last = length == depth
-            level = []
-            for parent in frontier:
-                before = obs[parent.state]
-                targets = step[parent.state]
-                for ai, action, moved, unmoved in moves:
-                    after = obs[targets[ai]]
-                    # An unmoved domain keeps the parent's key, whose table
-                    # entry carries the parent's token (the parent passed its
-                    # check), so it clashes exactly when its token changed.
-                    stop = nd
-                    if after != before:
-                        for u in unmoved:
-                            if after[u] != before[u]:
-                                stop = u
-                                break
-                    if last:
-                        trace = None
-                        keys = child_keys(parent, ai, moved, after)
-                    else:
-                        child = parent.step(ai)
-                        level.append(child)
-                        trace = child.trace
-                        keys = [child.key(u) for u in moved]
-                    for u, k in zip(moved, keys):
-                        if u > stop:
+    for length in range(1, depth + 1):
+        last = length == depth
+        level = []
+        for parent in frontier:
+            prefix = parent.trace
+            before = obs[parent.state]
+            targets = step[parent.state]
+            for ai, action, moved, unmoved in moves:
+                after = obs[targets[ai]]
+                # An unmoved domain keeps the parent's key, whose table entry
+                # carries the parent's token (the parent passed its check), so
+                # it clashes exactly when its token changed.
+                stop = nd
+                if after != before:
+                    for u in unmoved:
+                        if after[u] != before[u]:
+                            stop = u
                             break
-                        prior = seen[u].get(k)
-                        if prior is None:
-                            if trace is None:
-                                trace = parent.trace + (action,)
-                            seen[u][k] = (after[u], trace)
-                        elif prior[0] != after[u]:
-                            return BoundedVerdict(True, None, domains[u], prior[1],
-                                                  parent.trace + (action,))
-                    if stop < nd:
-                        prior = seen[stop][parent.key(stop)]
-                        return BoundedVerdict(True, None, domains[stop], prior[1],
-                                              parent.trace + (action,))
-            frontier = level
+                if last:
+                    keys = child_keys(parent, ai, moved, after)
+                else:
+                    child = parent.step(ai)
+                    level.append(child)
+                    keys = [child.key(u) for u in moved]
+                for u, k in zip(moved, keys):
+                    if u > stop:
+                        break
+                    prior = seen[u].get(k)
+                    if prior is None:
+                        seen[u][k] = (after[u], prefix, action)
+                    elif prior[0] != after[u]:
+                        return BoundedVerdict(True, None, domains[u],
+                                              _representative(prior), prefix + (action,))
+                if stop < nd:
+                    prior = seen[stop][parent.key(stop)]
+                    return BoundedVerdict(True, None, domains[stop],
+                                          _representative(prior), prefix + (action,))
+        frontier = level
     return BoundedVerdict(False, depth)
 
 

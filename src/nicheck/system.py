@@ -31,6 +31,13 @@ def gc_paused():
     and the collector's walks find nothing.  The collector is switched back
     on afterwards only if it was on before, so a caller that turned it off
     finds it off.
+
+    Callers must drop their working set before the pause ends, typically by
+    returning the result of a function called inside it, as in
+    `with gc_paused(): return work()`.  Containers still alive when the
+    collector is switched back on are all in its youngest generation; when
+    they are more than its threshold (700 by default), the next allocation
+    starts a collection that walks every one of them.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -151,6 +158,17 @@ def is_transitive(policy: Policy) -> bool:
     return True
 
 
+def _check_kinds(policy, actions, transitions=None, observations=None) -> None:
+    """`InputError` unless `policy` is a Policy, `actions` a mapping, and
+    `transitions` and `observations` each a mapping or None."""
+    if not isinstance(policy, Policy):
+        raise InputError(f"policy must be a Policy, got {policy!r}")
+    for name, table in (("actions", actions), ("transitions", transitions),
+                        ("observations", observations)):
+        if not (isinstance(table, Mapping) or table is None and name != "actions"):
+            raise InputError(f"{name} must be a mapping, got {table!r}")
+
+
 class System:
     """A finite deterministic machine observed per security domain.
 
@@ -179,12 +197,7 @@ class System:
         transitions: Mapping[tuple[str, str], str] | None = None,
         observations: Mapping[tuple[str, str], str] | None = None,
     ):
-        if not isinstance(policy, Policy):
-            raise InputError(f"policy must be a Policy, got {policy!r}")
-        for name, table in (("actions", actions), ("transitions", transitions),
-                            ("observations", observations)):
-            if not (isinstance(table, Mapping) or table is None and name != "actions"):
-                raise InputError(f"{name} must be a mapping, got {table!r}")
+        _check_kinds(policy, actions, transitions, observations)
         self.policy = policy
         self.states = _tuple_of(states, "states")
         self.initial = initial
@@ -374,10 +387,15 @@ class System:
         order that names each state as it is found and records each
         transition, so the state numbering (and hence everything downstream)
         is deterministic.  Raises `InputError` once more than `MAX_STATES`
-        states are found.
+        states are found.  The policy, `actions` and `initial` are checked
+        before any state is explored.
         """
+        _check_kinds(policy, actions)
+        try:
+            index = {initial: 0}
+        except TypeError:
+            raise InputError(f"initial state {initial!r} is not hashable") from None
         action_names = tuple(actions)
-        index = {initial: 0}
         order = [initial]  # also the BFS queue: the loop reaches appended states
         names = [name_fn(initial)]
         transitions: dict[tuple[str, str], str] = {}

@@ -180,6 +180,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "states=50" in out and "linear fit" in out
 
+    @pytest.mark.parametrize("sizes", ["10,x", "10,,20", ""])
+    def test_malformed_sizes_are_a_usage_error(self, sizes, capsys):
+        assert main(["bench", "--sizes", sizes]) == 3
+        captured = capsys.readouterr()
+        assert "argument --sizes: expected comma-separated ints" in captured.err
+        assert "ValueError" not in captured.err and not captured.out
+
     def test_fit_ratio_of_perfectly_linear_data(self):
         data = [{"states": n, "seconds": 2e-6 * n} for n in (10, 100, 1000)]
         assert linear_fit_max_ratio(data) == pytest.approx(1.0)

@@ -507,6 +507,24 @@ class TestCollectorPaused:
         assert states == {False}
         assert gc.isenabled() is collector
 
+    @pytest.mark.parametrize("notion", nc.NOTIONS)
+    def test_scan_is_freed_before_the_collector_resumes(self, pcp_demo, notion,
+                                                        monkeypatch):
+        # Whatever is alive when the collector comes back on is young, and a
+        # collection soon walks all of it; the scan must have freed its own.
+        young = []
+        enable = gc.enable
+
+        def recorder():
+            young.append(len(gc.get_objects(generation=0)))
+            enable()
+
+        gc.enable()
+        gc.collect()
+        monkeypatch.setattr(gc, "enable", recorder)
+        nc.bounded_check(pcp_demo, notion, 4)
+        assert len(young) == 1 and young[0] < 100
+
 
 class TestExactPairChecks:
     def test_fig5_p_insecure(self, fig5):

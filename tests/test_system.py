@@ -417,6 +417,21 @@ class TestFromFunctions:
             )
         assert str(err.value) == "state space exceeds 1 states"
 
+    @pytest.mark.parametrize("policy, actions, initial, message", [
+        (("A",), {"a": "A"}, 0, "policy must be a Policy, got ('A',)"),
+        (None, 5, 0, "actions must be a mapping, got 5"),
+        (None, ["a"], 0, "actions must be a mapping, got ['a']"),
+        (None, {"a": "A"}, [0], "initial state [0] is not hashable"),
+    ], ids=["policy", "int-actions", "list-actions", "unhashable-initial"])
+    def test_arguments_checked_before_exploring(self, policy, actions, initial, message):
+        def step(s, a):
+            raise AssertionError("explored before the arguments were checked")
+
+        with pytest.raises(nc.InputError) as err:
+            nc.System.from_functions(policy or nc.Policy(("A",)), actions, initial,
+                                     step, lambda s, d: "x")
+        assert str(err.value) == message
+
 
 # Every public argument that takes a sequence of names, and a call that passes
 # `bad` there on fig5.  A str is one name, never a sequence of names, so it is
