@@ -26,7 +26,12 @@ _DECIDERS = {"p": decide_p, "ip": decide_ip, "ta": decide_ta}
 def _load(path: str) -> System:
     # utf-8-sig drops a leading byte-order mark, which some editors write.
     with open(path, encoding="utf-8-sig") as handle:
-        return parse_system(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise InputError(f"{path} is not UTF-8 text ({type(err).__name__}"
+                             f" at byte {err.start}: {err.reason})") from None
+    return parse_system(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -87,12 +92,17 @@ def linear_fit_max_ratio(results) -> float:
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    """The value of `bench --sizes`: comma-separated ints."""
+    """The value of `bench --sizes`: at least two comma-separated ints, each
+    at least 1, since a line fitted through one point fits it exactly."""
     try:
-        return tuple(int(s) for s in text.split(","))
+        sizes = tuple(int(s) for s in text.split(","))
     except ValueError:
+        sizes = ()
+    if len(sizes) < 2 or min(sizes) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated ints, got {text!r}") from None
+            f"expected comma-separated ints, at least two, each at least 1, "
+            f"got {text!r}")
+    return sizes
 
 
 @functools.cache

@@ -11,6 +11,12 @@ Transitions not declared are self-loops, observations not declared are the
 null token "_", and reflexive interference is implicit.  `serialize_system`
 emits a canonical form that omits exactly those defaults, so parse and
 serialize are mutually inverse up to comments and ordering.
+
+`parse_system` reads the file in one pass.  It numbers each state, action
+and domain as it is declared and resolves the names of each `trans` and
+`obs` line with the same dict lookups that check them, writing the cell
+straight into that state's table row.  The System is built from these
+finished tables without checking any name a second time.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .system import NULL_OBS, Policy, System
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of `text`, each ended by LF, CR LF or CR.
+    """The lines of `text`, each ended by LF, CR LF or CR, with comments cut.
 
     These are the line ends that text-mode `open()` translates.
     `str.splitlines` would also break at a form feed or another Unicode
@@ -28,28 +34,38 @@ def _lines(text: str) -> list[str]:
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    lines = text.split("\n")
+    if "#" in text:
+        return [line.partition("#")[0] for line in lines]
+    return lines
 
 
 def parse_system(text: str) -> System:
     """Parse a system file; raises InputError carrying line-numbered
     diagnostics when anything is wrong."""
-    # Insertion-ordered dicts: declaration order plus O(1) membership tests,
-    # which keep loading linear in the number of lines.
-    domains: dict[str, None] = {}
+    if not isinstance(text, str):
+        raise InputError(f"text must be a str, got {text!r}")
+    # Insertion-ordered dicts from each name to its index: declaration
+    # order plus O(1) checks, which keep loading linear in the number of
+    # lines.  `actions` maps each action to its domain's name.
+    domains: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
     actions: dict[str, str] = {}
-    states: dict[str, None] = {}
+    aidx: dict[str, int] = {}
+    states: dict[str, int] = {}
     initial: str | None = None
     transitions: dict[tuple[str, str], str] = {}
     observations: dict[tuple[str, str], str] = {}
+    # One row per state, one cell per action (the target's index) and per
+    # domain (the token); a row holds the defaults until a line sets a cell.
+    step: list[list[int]] = []
+    obs: list[list[str]] = []
     diags: list[str] = []
 
     # One flat loop, its branches in order of how often a file uses them.
-    for lineno, raw in enumerate(_lines(text), start=1):
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        fields = raw.split()
+    # No name holds the lines, so they are freed before the tables are
+    # finished.
+    for lineno, fields in enumerate(map(str.split, _lines(text)), start=1):
         if not fields:
             continue
         kind = fields[0]
@@ -58,13 +74,17 @@ def parse_system(text: str) -> System:
                 diags.append(f"line {lineno}: 'trans' takes 3 arguments")
                 continue
             _, s, a, t = fields
+            si, ti, ai = states.get(s), states.get(t), aidx.get(a)
+            if si is None or ti is None or ai is None:
+                if si is None:
+                    diags.append(f"line {lineno}: unknown state {s!r}")
+                if ti is None:
+                    diags.append(f"line {lineno}: unknown state {t!r}")
+                if ai is None:
+                    diags.append(f"line {lineno}: unknown action {a!r}")
+            else:
+                step[si][ai] = ti
             key = (s, a)
-            if s not in states:
-                diags.append(f"line {lineno}: unknown state {s!r}")
-            if t not in states:
-                diags.append(f"line {lineno}: unknown state {t!r}")
-            if a not in actions:
-                diags.append(f"line {lineno}: unknown action {a!r}")
             if key in transitions:
                 diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
             transitions[key] = t
@@ -73,11 +93,15 @@ def parse_system(text: str) -> System:
                 diags.append(f"line {lineno}: 'obs' takes 3 arguments")
                 continue
             _, s, d, token = fields
+            si, di = states.get(s), domains.get(d)
+            if si is None or di is None:
+                if si is None:
+                    diags.append(f"line {lineno}: unknown state {s!r}")
+                if di is None:
+                    diags.append(f"line {lineno}: unknown domain {d!r}")
+            else:
+                obs[si][di] = token
             key = (s, d)
-            if s not in states:
-                diags.append(f"line {lineno}: unknown state {s!r}")
-            if d not in domains:
-                diags.append(f"line {lineno}: unknown domain {d!r}")
             if key in observations:
                 diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
             observations[key] = token
@@ -88,7 +112,9 @@ def parse_system(text: str) -> System:
                 if name in states:
                     diags.append(f"line {lineno}: duplicate state {name!r}")
                     continue
-                states[name] = None
+                si = states[name] = len(states)
+                step.append([si] * len(aidx))
+                obs.append([NULL_OBS] * len(domains))
                 if n == 3:
                     if initial is not None:
                         diags.append(f"line {lineno}: multiple initial states")
@@ -107,6 +133,10 @@ def parse_system(text: str) -> System:
                 diags.append(f"line {lineno}: action {name}: unknown domain {dom!r}")
             else:
                 actions[name] = dom
+                aidx[name] = len(aidx)
+                # Widen the rows of the states declared before: a self-loop.
+                for si, row in enumerate(step):
+                    row.append(si)
         elif kind == "domain":
             if len(fields) != 2:
                 diags.append(f"line {lineno}: 'domain' takes 1 arguments")
@@ -115,7 +145,9 @@ def parse_system(text: str) -> System:
             if name in domains:
                 diags.append(f"line {lineno}: duplicate domain {name!r}")
             else:
-                domains[name] = None
+                domains[name] = len(domains)
+                for row in obs:
+                    row.append(NULL_OBS)
         elif kind == "interferes":
             if len(fields) != 3:
                 diags.append(f"line {lineno}: 'interferes' takes 2 arguments")
@@ -138,8 +170,11 @@ def parse_system(text: str) -> System:
     if diags:
         raise InputError(f"cannot parse system: {diags[0]}", diags)
 
-    return System(
-        Policy(domains, edges), states, initial, actions, transitions, observations
+    # Every name the tables hold was split out by `str.split` and checked
+    # against the declarations above, so `System` need not check it again.
+    return System._from_tables(
+        Policy(domains, edges), initial, actions, transitions, observations,
+        states, aidx, list(map(tuple, step)), list(map(tuple, obs)),
     )
 
 

@@ -175,9 +175,12 @@ class System:
     A System is valid from construction: the constructor checks every
     declaration and builds the step and observation tables in the same walk
     over them, and raises `InputError` whose `diagnostics` lists all the
-    problems it found, so no operation needs to check again.  Transitions
-    not mentioned default to self-loops and observations not mentioned
-    default to the null token.
+    problems it found, so no operation needs to check again.
+    `parse_system` does not go through the constructor: its line loop makes
+    the same checks as it reads each declaration, fills the tables itself
+    and hands them over whole (`_from_tables`).  Transitions not mentioned
+    default to self-loops and observations not mentioned default to the
+    null token.
 
     Systems are immutable; the rows of the step and observation tables are
     tuples.  The reachable states and their BFS tree are computed on first
@@ -205,21 +208,42 @@ class System:
         self.action_domain = dict(actions)
         self.transitions = dict(transitions or {})
         self.observations = dict(observations or {})
-        self._check_and_build()
-        self._trees: dict = {}
-        self._reach: list[int] | None = None
-        self._parent: list[int] = []
+        self._keep_tables(*self._check_and_build())
+
+    @classmethod
+    def _from_tables(cls, policy, initial, action_domain, transitions,
+                     observations, sidx, aidx, step, obs) -> "System":
+        """A System from tables its caller has already checked.
+
+        `sidx` and `aidx` map each state and action to its index, in
+        declaration order; `step` and `obs` are the finished tables, a list
+        of tuple rows each.  The mappings are kept, not copied, so the
+        caller must hold no other reference to them.  Nothing is checked:
+        `parse_system` is the one caller, and its line loop has made every
+        check the constructor would.
+        """
+        self = cls.__new__(cls)
+        self.policy = policy
+        self.states = tuple(sidx)
+        self.initial = initial
+        self.actions = tuple(aidx)
+        self.action_domain = action_domain
+        self.transitions = transitions
+        self.observations = observations
+        self._keep_tables(sidx, aidx, step, obs)
+        return self
 
     # -- validation and tables --------------------------------------------
 
-    def _check_and_build(self) -> None:
+    def _check_and_build(self):
         """Check every declaration and fill the tables in one walk.
 
         Each declared transition and observation is resolved to indices
         once; its diagnostics are appended in declaration order, and its
         table cell is written while no diagnostic has been found.  Raises
         `InputError` with every diagnostic, the first in its message, when
-        there is any; otherwise keeps the tables.
+        there is any; otherwise returns the state and action index dicts
+        and the step and observation tables.
         """
         out: list[str] = []
         states, actions, policy = self.states, self.actions, self.policy
@@ -289,11 +313,15 @@ class System:
                 obs[si][di] = token
         if out:
             raise InputError(f"invalid system: {out[0]}", out)
+        return sidx, aidx, list(map(tuple, step)), list(map(tuple, obs))
 
-        self._sidx, self._aidx = sidx, aidx
-        self._step = [tuple(row) for row in step]
-        self._obs = [tuple(row) for row in obs]
-        self._dom = [didx[self.action_domain[a]] for a in actions]
+    def _keep_tables(self, sidx, aidx, step, obs) -> None:
+        """Keep the checked index dicts and tables, derive the per-action
+        tables from the policy, and start the caches empty."""
+        self._sidx, self._aidx, self._step, self._obs = sidx, aidx, step, obs
+        policy, didx = self.policy, self.policy._index
+        nd = len(policy.domains)
+        self._dom = [didx[self.action_domain[a]] for a in self.actions]
         self._may = [
             [policy.interferes(u, v) for v in policy.domains]
             for u in policy.domains
@@ -305,6 +333,9 @@ class System:
         # keys it may change.
         image = [tuple([v for v in range(nd) if row[v]]) for row in self._may]
         self._moved = [image[di] for di in self._dom]
+        self._trees: dict = {}
+        self._reach: list[int] | None = None
+        self._parent: list[int] = []
 
     def require_valid(self) -> None:
         """Does nothing: the constructor has already checked the System."""

@@ -12,6 +12,16 @@ from nicheck import cli
 from nicheck.cli import _build_parser, linear_fit_max_ratio, main, run_scaling_bench
 
 
+NON_UTF8_MESSAGE = (
+    "{}/utf16.ni is not UTF-8 text (UnicodeDecodeError at byte 0: invalid start byte)\n")
+
+
+def non_utf8_file(tmp_path):
+    path = tmp_path / "utf16.ni"
+    path.write_bytes(b"\xff\xfe" + "domain H\n".encode("utf-16-le"))
+    return str(path)
+
+
 def write_fixture(tmp_path, name):
     path = tmp_path / f"{name}.ni"
     path.write_text(nc.serialize_system(nc.fixture(name)), encoding="utf-8")
@@ -47,6 +57,10 @@ class TestCheck:
         path.write_bytes(b"\xff\xfe\x00states s0\n\x80\x81")
         assert main(["check", "--notion", "p", str(path)]) == 3
         assert "UnicodeDecodeError" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        assert main(["check", "--notion", "p", non_utf8_file(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", NON_UTF8_MESSAGE.format(tmp_path))
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         path = tmp_path / "bom.ni"
@@ -89,6 +103,11 @@ class TestBounded:
         captured = capsys.readouterr()
         assert code == 3 and not captured.out
         assert "budget 0" in captured.err
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        assert main(["bounded", "--notion", "to", "--depth", "2",
+                     non_utf8_file(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", NON_UTF8_MESSAGE.format(tmp_path))
 
     def test_default_budget_is_the_library_default(self, capsys):
         args = _build_parser().parse_args(["bounded", "--notion", "p", "--depth", "1", "f"])
@@ -180,7 +199,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "states=50" in out and "linear fit" in out
 
-    @pytest.mark.parametrize("sizes", ["10,x", "10,,20", ""])
+    @pytest.mark.parametrize("sizes", ["10,x", "10,,20", "", "0", "0,100", "100"])
     def test_malformed_sizes_are_a_usage_error(self, sizes, capsys):
         assert main(["bench", "--sizes", sizes]) == 3
         captured = capsys.readouterr()

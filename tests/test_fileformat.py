@@ -136,6 +136,12 @@ class TestParse:
         assert list(err.value.diagnostics) == ["line 5: unknown declaration 'bogus'"]
         assert nc.parse_system(MINIMAL.replace("\n", end)) == nc.parse_system(MINIMAL)
 
+    @pytest.mark.parametrize("text", [b"domain H\n", None, 5], ids=["bytes", "none", "int"])
+    def test_text_that_is_not_a_str_is_an_input_error(self, text):
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text)
+        assert str(err.value) == f"text must be a str, got {text!r}"
+
     def test_explicit_reflexive_edge_accepted(self):
         s = nc.parse_system("domain H\ninterferes H H\naction h H\nstate s0 init\n")
         assert s.policy.interferes("H", "H")
@@ -169,14 +175,25 @@ class TestSerialize:
                                    if line.startswith("obs ")]
 
 
+def _tables(system):
+    """Every table a System keeps beside `_step` and `_obs` (which `==`
+    compares), each dict as its items in order."""
+    return (
+        list(system._sidx.items()), list(system._aidx.items()), system._dom,
+        system._may, system._moved, system._domain_actions,
+        list(system.transitions.items()), list(system.observations.items()),
+        list(system.action_domain.items()),
+    )
+
+
 def _outcome(parse, text):
-    """What loading `text` gives: the System and its canonical text, or
-    the error message and every diagnostic."""
+    """What loading `text` gives: the System, its canonical text and its
+    tables, or the error message and every diagnostic."""
     try:
         system = parse(text)
     except nc.InputError as err:
         return "rejected", str(err), err.diagnostics
-    return "accepted", system, nc.serialize_system(system)
+    return "accepted", system, nc.serialize_system(system), _tables(system)
 
 
 class TestMutationCorpus:

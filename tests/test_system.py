@@ -377,6 +377,15 @@ class TestTables:
             {("s0", "a"): "s0", ("s0", "b"): "s1", ("s1", "b"): "s1"},
             {("s0", "A"): nc.NULL_OBS, ("s1", "B"): "x", ("s1", "A"): nc.NULL_OBS},
         )
+        # The parser builds its tables itself, row by row as states are
+        # declared, widening them for an action or domain declared later.
+        for name in nc.FIXTURE_NAMES:
+            yield nc.parse_system(nc.serialize_system(nc.fixture(name)))
+        yield nc.parse_system(
+            "domain H\nstate s0 init\nstate s1\naction h H\nobs s1 H x\n"
+            "domain L\nobs s0 L y\ntrans s0 h s1\nstate s2\naction l L\n"
+            "trans s1 l s2\ntrans s2 h s0\ninterferes H L\n"
+        )
 
     def test_tables_match_declarations(self):
         for system in self.systems():
