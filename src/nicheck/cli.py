@@ -17,7 +17,7 @@ from .fileformat import parse_system, serialize_system
 from .generate import FIXTURE_NAMES, GenParams, fixture, gen_random_system
 from .oracle import DEFAULT_TRACE_BUDGET, NOTIONS, bounded_check
 from .reduction import PcpInstance, augment_final, build_pcp_system, pcp_witness
-from .system import System, gc_paused, run
+from .system import System, _lookup, gc_paused, run
 from .verify import decide_ip, decide_p, decide_ta
 
 _DECIDERS = {"p": decide_p, "ip": decide_ip, "ta": decide_ta}
@@ -65,7 +65,7 @@ def run_scaling_bench(notion="p", sizes=(1000, 10000, 100000), seed=7):
     complete closure rather than exiting at the first violation; that is the
     workload whose growth should stay near-linear in the state count.
     """
-    decide = _DECIDERS[notion]
+    decide = _lookup(_DECIDERS, notion, "security notion")
     results = []
     for n in sizes:
         params = GenParams(n, 4, 3, 1, 0.3, seed)

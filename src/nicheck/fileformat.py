@@ -54,8 +54,10 @@ def parse_system(text: str) -> System:
     aidx: dict[str, int] = {}
     states: dict[str, int] = {}
     initial: str | None = None
-    transitions: dict[tuple[str, str], str] = {}
-    observations: dict[tuple[str, str], str] = {}
+    # The (state, action) and (state, domain) pairs declared so far, kept
+    # only to report a second declaration of one.
+    transitions: set[tuple[str, str]] = set()
+    observations: set[tuple[str, str]] = set()
     # One row per state, one cell per action (the target's index) and per
     # domain (the token); a row holds the defaults until a line sets a cell.
     step: list[list[int]] = []
@@ -87,7 +89,7 @@ def parse_system(text: str) -> System:
             key = (s, a)
             if key in transitions:
                 diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
-            transitions[key] = t
+            transitions.add(key)
         elif kind == "obs":
             if len(fields) != 4:
                 diags.append(f"line {lineno}: 'obs' takes 3 arguments")
@@ -104,7 +106,7 @@ def parse_system(text: str) -> System:
             key = (s, d)
             if key in observations:
                 diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
-            observations[key] = token
+            observations.add(key)
         elif kind == "state":
             n = len(fields)
             if n == 2 or (n == 3 and fields[2] == "init"):
@@ -173,8 +175,8 @@ def parse_system(text: str) -> System:
     # Every name the tables hold was split out by `str.split` and checked
     # against the declarations above, so `System` need not check it again.
     return System._from_tables(
-        Policy(domains, edges), initial, actions, transitions, observations,
-        states, aidx, list(map(tuple, step)), list(map(tuple, obs)),
+        Policy(domains, edges), initial, actions, states, aidx,
+        list(map(tuple, step)), list(map(tuple, obs)),
     )
 
 
@@ -187,8 +189,8 @@ def serialize_system(system: System) -> str:
     for u, v in sorted(pol.edges, key=lambda e: (pol._index[e[0]], pol._index[e[1]])):
         if u != v:
             lines.append(f"interferes {u} {v}")
-    for a in system.actions:
-        lines.append(f"action {a} {system.action_domain[a]}")
+    for a, d in system.action_domain.items():
+        lines.append(f"action {a} {d}")
     for s in system.states:
         lines.append(f"state {s} init" if s == system.initial else f"state {s}")
     for si, s in enumerate(system.states):

@@ -227,9 +227,9 @@ def augment_final(system: System) -> System:
     clash = set(finals) & set(system.actions)
     if clash:
         raise InputError(f"action names {sorted(clash)} collide with final variants")
-    actions: dict[str, str] = dict(system.action_domain)
+    actions = system.action_domain
     for fa, a in finals.items():
-        actions[fa] = system.action_domain[a]
+        actions[fa] = actions[a]
 
     domains = system.policy.domains
     step_tab = system._step
@@ -272,10 +272,11 @@ def convertback(augmented: System, alpha: Iterable[str]) -> tuple[str, ...]:
     without final actions this is the identity.
     """
     finals = augmented.final_action_base
+    owner = augmented.action_domain
     out: list[str] = []
     gone_final: set[str] = set()
     for a in _tuple_of(alpha, "alpha"):
-        d = _lookup(augmented.action_domain, a, "action")
+        d = _lookup(owner, a, "action")
         if d in gone_final:
             continue
         if a in finals:

@@ -183,12 +183,17 @@ class System:
     null token.
 
     Systems are immutable; the rows of the step and observation tables are
-    tuples.  The reachable states and their BFS tree are computed on first
-    use and kept; every witness prefix is a walk up that tree.  Systems may
-    be shared freely across threads, with one caveat: the definitional tree
-    functions (`ta`, `to`, `ito`, and `trace_key` under `ta`) hash-cons into
-    a per-system table that is not locked, so drive them from one thread per
-    system at a time.  Bounded scans keep their own tables.
+    tuples, and the tables are the only stored form of the machine.
+    `transitions`, `observations` and `action_domain` are read-only views
+    of them: each read builds a new dict in table order (so read one once,
+    outside a loop), and the first two leave out self-loops and null
+    tokens, even ones declared explicitly.  The reachable states and their
+    BFS tree are computed on first use and kept; every witness prefix is a
+    walk up that tree.  Systems may be shared freely across threads, with
+    one caveat: the definitional tree functions (`ta`, `to`, `ito`, and
+    `trace_key` under `ta`) hash-cons into a per-system table that is not
+    locked, so drive them from one thread per system at a time.  Bounded
+    scans keep their own tables.
     """
 
     def __init__(
@@ -205,37 +210,33 @@ class System:
         self.states = _tuple_of(states, "states")
         self.initial = initial
         self.actions = tuple(actions)
-        self.action_domain = dict(actions)
-        self.transitions = dict(transitions or {})
-        self.observations = dict(observations or {})
-        self._keep_tables(*self._check_and_build())
+        self._keep_tables(actions, *self._check_and_build(
+            actions, transitions or {}, observations or {}))
 
     @classmethod
-    def _from_tables(cls, policy, initial, action_domain, transitions,
-                     observations, sidx, aidx, step, obs) -> "System":
+    def _from_tables(cls, policy, initial, action_domain, sidx, aidx,
+                     step, obs) -> "System":
         """A System from tables its caller has already checked.
 
-        `sidx` and `aidx` map each state and action to its index, in
-        declaration order; `step` and `obs` are the finished tables, a list
-        of tuple rows each.  The mappings are kept, not copied, so the
-        caller must hold no other reference to them.  Nothing is checked:
-        `parse_system` is the one caller, and its line loop has made every
-        check the constructor would.
+        `action_domain` maps each action to its domain's name; `sidx` and
+        `aidx` map each state and action to its index, in declaration order;
+        `step` and `obs` are the finished tables, a list of tuple rows each.
+        `sidx` and `aidx` are kept, not copied, so the caller must hold no
+        other reference to them.  Nothing is checked: `parse_system` is the
+        one caller, and its line loop has made every check the constructor
+        would.
         """
         self = cls.__new__(cls)
         self.policy = policy
         self.states = tuple(sidx)
         self.initial = initial
         self.actions = tuple(aidx)
-        self.action_domain = action_domain
-        self.transitions = transitions
-        self.observations = observations
-        self._keep_tables(sidx, aidx, step, obs)
+        self._keep_tables(action_domain, sidx, aidx, step, obs)
         return self
 
     # -- validation and tables --------------------------------------------
 
-    def _check_and_build(self):
+    def _check_and_build(self, action_domain, transitions, observations):
         """Check every declaration and fill the tables in one walk.
 
         Each declared transition and observation is resolved to indices
@@ -269,7 +270,8 @@ class System:
         if len(aidx) != len(actions):
             out.append("duplicate action declaration")
         didx = policy._index
-        for a, d in self.action_domain.items():
+        for a in aidx:
+            d = action_domain[a]
             if not _known(d, didx):
                 out.append(f"action {a}: unknown domain {d!r}")
 
@@ -277,7 +279,7 @@ class System:
         # the declared entries, so no key tuple is built per table cell.
         na, nd = len(actions), len(policy.domains)
         step = [[i] * na for i in range(len(states))]
-        for key, t in self.transitions.items():
+        for key, t in transitions.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 out.append(f"transition key {key!r}: not a (state, action) pair")
                 continue
@@ -297,7 +299,7 @@ class System:
             if not out:
                 step[si][ai] = ti
         obs = [[NULL_OBS] * nd for _ in states]
-        for key, token in self.observations.items():
+        for key, token in observations.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 out.append(f"observation key {key!r}: not a (state, domain) pair")
                 continue
@@ -315,13 +317,14 @@ class System:
             raise InputError(f"invalid system: {out[0]}", out)
         return sidx, aidx, list(map(tuple, step)), list(map(tuple, obs))
 
-    def _keep_tables(self, sidx, aidx, step, obs) -> None:
-        """Keep the checked index dicts and tables, derive the per-action
-        tables from the policy, and start the caches empty."""
+    def _keep_tables(self, action_domain, sidx, aidx, step, obs) -> None:
+        """Keep the checked index dicts and tables, number each action's
+        domain from `action_domain`, derive the per-action tables from the
+        policy, and start the caches empty."""
         self._sidx, self._aidx, self._step, self._obs = sidx, aidx, step, obs
         policy, didx = self.policy, self.policy._index
         nd = len(policy.domains)
-        self._dom = [didx[self.action_domain[a]] for a in self.actions]
+        self._dom = [didx[action_domain[a]] for a in self.actions]
         self._may = [
             [policy.interferes(u, v) for v in policy.domains]
             for u in policy.domains
@@ -339,6 +342,33 @@ class System:
 
     def require_valid(self) -> None:
         """Does nothing: the constructor has already checked the System."""
+
+    # -- read-only views of the tables -------------------------------------
+
+    @property
+    def transitions(self) -> dict[tuple[str, str], str]:
+        """Each transition that leaves its state, `(state, action)` mapped
+        to the target, in state then action order; a new dict on every read."""
+        states, actions = self.states, self.actions
+        return {(s, a): states[t]
+                for si, (s, row) in enumerate(zip(states, self._step))
+                for a, t in zip(actions, row) if t != si}
+
+    @property
+    def observations(self) -> dict[tuple[str, str], str]:
+        """Each token other than NULL_OBS, `(state, domain)` mapped to it,
+        in state then domain order; a new dict on every read."""
+        domains = self.policy.domains
+        return {(s, d): token
+                for s, row in zip(self.states, self._obs)
+                for d, token in zip(domains, row) if token != NULL_OBS}
+
+    @property
+    def action_domain(self) -> dict[str, str]:
+        """Each action mapped to its domain's name, in declaration order; a
+        new dict on every read."""
+        domains = self.policy.domains
+        return {a: domains[di] for a, di in zip(self.actions, self._dom)}
 
     # -- helpers used across the package ---------------------------------
 
@@ -458,7 +488,7 @@ class System:
             self.states,
             self.initial,
             self.actions,
-            tuple(self.action_domain[a] for a in self.actions),
+            tuple(self._dom),
             tuple(self._step),
             tuple(self._obs),
         )

@@ -210,6 +210,10 @@ class TestBench:
         data = [{"states": n, "seconds": 2e-6 * n} for n in (10, 100, 1000)]
         assert linear_fit_max_ratio(data) == pytest.approx(1.0)
 
+    def test_unknown_notion_is_an_input_error(self):
+        with pytest.raises(nc.InputError, match="unknown security notion 'zz'"):
+            run_scaling_bench("zz", sizes=(10, 20))
+
     def test_bench_systems_are_secure_so_the_closure_runs_fully(self):
         results = run_scaling_bench("p", sizes=(200,), seed=5)
         assert results[0]["secure"]

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,19 @@ class TestParse:
         elapsed = time.perf_counter() - start
         assert parsed == system
         assert elapsed < 10.0, f"parsing {len(text.splitlines())} lines took {elapsed:.1f} s"
+
+    def test_parsed_system_keeps_only_its_tables(self):
+        # 3 000 states, 18 000 cells: the tables and index dicts take about
+        # 1 MB, and name-keyed copies of the machine would take 4 MB more.
+        text = nc.serialize_system(nc.gen_random_system(nc.GenParams(3000, 6, 3, 1, 0.3, 1)))
+        tracemalloc.start()
+        try:
+            system = nc.parse_system(text)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert {"transitions", "observations", "action_domain"}.isdisjoint(vars(system))
+        assert retained < 2_500_000, f"a parsed 3k-state System keeps {retained} bytes"
 
     def test_form_feed_in_a_comment_neither_ends_it_nor_shifts_lines(self):
         with pytest.raises(nc.InputError) as err:

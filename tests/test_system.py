@@ -211,13 +211,42 @@ def _rejected(states=("s0",), initial="s0", actions=None,
 
 
 class TestValidate:
-    def test_wellformed_fixture_is_ok(self, fig5):
-        fig5.require_valid()
-        assert nc.System(fig5.policy, fig5.states, fig5.initial, fig5.action_domain,
-                         fig5.transitions, fig5.observations) == fig5
+    def test_wellformed_fixture_is_ok(self):
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems.append(nc.augment_final(nc.fixture("fig8")))
+        systems.append(nc.parse_system(nc.serialize_system(nc.fixture("fig6"))))
+        for system in systems:
+            system.require_valid()
+            assert nc.System(system.policy, system.states, system.initial,
+                             system.action_domain, system.transitions,
+                             system.observations) == system
+
+    @pytest.mark.parametrize("view, key, value", [
+        ("transitions", ("s0", "h"), "s2"),
+        ("observations", ("s0", "L"), "9"),
+        ("action_domain", "h", "L"),
+    ])
+    @pytest.mark.parametrize("make", [
+        lambda: nc.fixture("fig5"),
+        lambda: nc.parse_system(nc.serialize_system(nc.fixture("fig5"))),
+    ], ids=["constructed", "parsed"])
+    def test_views_are_read_only(self, make, view, key, value):
+        system = make()
+        assert view not in vars(system)
+        before = getattr(system, view)
+        getattr(system, view)[key] = value
+        assert getattr(system, view) == before
+        assert system == nc.fixture("fig5")
+        assert nc.run(system, "s0", ["h"]) == "s1"
+        assert system.obs("s0", "L") == "0"
+        with pytest.raises(AttributeError):
+            setattr(system, view, {})
 
     def test_action_with_undeclared_domain(self):
         assert _rejected(actions={"a": "X"}) == ["action a: unknown domain 'X'"]
+        # Each action's domain is checked once, however often it is named.
+        assert _rejected(actions=_Repeated({"a": "X"})) == [
+            "duplicate action declaration", "action a: unknown domain 'X'"]
 
     def test_dangling_transition_target(self):
         assert _rejected(transitions={("s0", "a"): "s9"}) == [
@@ -365,9 +394,12 @@ class TestBadName:
 
 
 class TestTables:
-    """`_step` and `_obs` hold exactly the declared entries over the defaults."""
+    """`_step`, `_obs` and `_dom` hold exactly what each System was built
+    from, over the defaults: the mappings passed to `System(...)`, or the
+    lines of a parsed text."""
 
-    def systems(self):
+    @staticmethod
+    def constructed():
         yield from (nc.fixture(name) for name in nc.FIXTURE_NAMES)
         yield nc.augment_final(nc.fixture("fig8"))
         yield from (nc.gen_random_system(p) for p in corpus_params(20, seed=61))
@@ -377,26 +409,78 @@ class TestTables:
             {("s0", "a"): "s0", ("s0", "b"): "s1", ("s1", "b"): "s1"},
             {("s0", "A"): nc.NULL_OBS, ("s1", "B"): "x", ("s1", "A"): nc.NULL_OBS},
         )
+
+    @staticmethod
+    def texts():
         # The parser builds its tables itself, row by row as states are
         # declared, widening them for an action or domain declared later.
-        for name in nc.FIXTURE_NAMES:
-            yield nc.parse_system(nc.serialize_system(nc.fixture(name)))
-        yield nc.parse_system(
-            "domain H\nstate s0 init\nstate s1\naction h H\nobs s1 H x\n"
-            "domain L\nobs s0 L y\ntrans s0 h s1\nstate s2\naction l L\n"
-            "trans s1 l s2\ntrans s2 h s0\ninterferes H L\n"
-        )
+        yield from (nc.serialize_system(nc.fixture(name)) for name in nc.FIXTURE_NAMES)
+        yield ("domain H\nstate s0 init\nstate s1\naction h H\nobs s1 H x\n"
+               "domain L\nobs s0 L y\ntrans s0 h s1\nstate s2\naction l L\n"
+               "trans s1 l s2\ntrans s2 h s0\ninterferes H L\n"
+               "trans s2 l s2\nobs s2 H _\n")
 
-    def test_tables_match_declarations(self):
-        for system in self.systems():
-            assert all(type(row) is tuple for row in system._step)
-            for si, s in enumerate(system.states):
-                for ai, a in enumerate(system.actions):
-                    t = system.transitions.get((s, a), s)
-                    assert system._step[si][ai] == system._sidx[t]
-                for di, d in enumerate(system.policy.domains):
-                    token = system.observations.get((s, d), nc.NULL_OBS)
-                    assert system._obs[si][di] == token
+    @staticmethod
+    def declared(text):
+        """The states, actions, transitions and observations that the lines
+        of a system file declare."""
+        states, actions, trans, obs = [], {}, {}, {}
+        for kind, *args in filter(None, map(str.split, text.splitlines())):
+            if kind == "state":
+                states.append(args[0])
+            elif kind == "action":
+                actions[args[0]] = args[1]
+            elif kind == "trans":
+                trans[args[0], args[1]] = args[2]
+            elif kind == "obs":
+                obs[args[0], args[1]] = args[2]
+        return states, actions, trans, obs
+
+    @staticmethod
+    def check(system, states, actions, trans, obs):
+        assert system.states == tuple(states)
+        assert system.actions == tuple(actions)
+        assert all(type(row) is tuple for row in system._step)
+        domains = system.policy.domains
+        for ai, a in enumerate(system.actions):
+            assert domains[system._dom[ai]] == actions[a]
+        for si, s in enumerate(system.states):
+            for ai, a in enumerate(system.actions):
+                assert system.states[system._step[si][ai]] == trans.get((s, a), s)
+            for di, d in enumerate(domains):
+                assert system._obs[si][di] == obs.get((s, d), nc.NULL_OBS)
+        # The views leave out the defaults, even ones declared explicitly.
+        assert system.transitions == {k: t for k, t in trans.items() if t != k[0]}
+        assert system.observations == {k: o for k, o in obs.items() if o != nc.NULL_OBS}
+        assert system.action_domain == dict(actions)
+        # In table order: states, then actions or domains.
+        moves, tokens = system.transitions, system.observations
+        assert list(moves) == [(s, a) for s in system.states
+                               for a in system.actions if (s, a) in moves]
+        assert list(tokens) == [(s, d) for s in system.states
+                                for d in domains if (s, d) in tokens]
+        assert list(system.action_domain) == list(system.actions)
+
+    def test_tables_match_declarations(self, monkeypatch):
+        built = []
+        init = nc.System.__init__
+
+        def recording_init(system, policy, states, initial, actions,
+                           transitions=None, observations=None):
+            states = list(states)
+            init(system, policy, states, initial, actions, transitions, observations)
+            built.append((system, states, dict(actions), dict(transitions or {}),
+                          dict(observations or {})))
+
+        monkeypatch.setattr(nc.System, "__init__", recording_init)
+        systems = list(self.constructed())
+        monkeypatch.undo()
+        # Every System is kept alive by `built`, so no two share an id.
+        assert {id(system) for system in systems} <= {id(entry[0]) for entry in built}
+        for system, *declarations in built:
+            self.check(system, *declarations)
+        for text in self.texts():
+            self.check(nc.parse_system(text), *self.declared(text))
 
 
 class TestFromFunctions:
