@@ -47,11 +47,11 @@ def parse_system(text: str) -> System:
         raise InputError(f"text must be a str, got {text!r}")
     # Insertion-ordered dicts from each name to its index: declaration
     # order plus O(1) checks, which keep loading linear in the number of
-    # lines.  `actions` maps each action to its domain's name.
+    # lines.  `dom` lists each action's domain index.
     domains: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-    actions: dict[str, str] = {}
     aidx: dict[str, int] = {}
+    dom: list[int] = []
     states: dict[str, int] = {}
     initial: str | None = None
     # The (state, action) and (state, domain) pairs declared so far, kept
@@ -128,14 +128,14 @@ def parse_system(text: str) -> System:
             if len(fields) != 3:
                 diags.append(f"line {lineno}: 'action' takes 2 arguments")
                 continue
-            _, name, dom = fields
-            if name in actions:
+            _, name, d = fields
+            if name in aidx:
                 diags.append(f"line {lineno}: duplicate action {name!r}")
-            elif dom not in domains:
-                diags.append(f"line {lineno}: action {name}: unknown domain {dom!r}")
+            elif (di := domains.get(d)) is None:
+                diags.append(f"line {lineno}: action {name}: unknown domain {d!r}")
             else:
-                actions[name] = dom
-                aidx[name] = len(aidx)
+                aidx[name] = len(dom)
+                dom.append(di)
                 # Widen the rows of the states declared before: a self-loop.
                 for si, row in enumerate(step):
                     row.append(si)
@@ -175,7 +175,7 @@ def parse_system(text: str) -> System:
     # Every name the tables hold was split out by `str.split` and checked
     # against the declarations above, so `System` need not check it again.
     return System._from_tables(
-        Policy(domains, edges), initial, actions, states, aidx,
+        Policy(domains, edges), initial, states, aidx, dom,
         list(map(tuple, step)), list(map(tuple, obs)),
     )
 
@@ -186,9 +186,8 @@ def serialize_system(system: System) -> str:
     lines: list[str] = []
     for d in pol.domains:
         lines.append(f"domain {d}")
-    for u, v in sorted(pol.edges, key=lambda e: (pol._index[e[0]], pol._index[e[1]])):
-        if u != v:
-            lines.append(f"interferes {u} {v}")
+    for u, row in zip(pol.domains, pol._may):
+        lines += [f"interferes {u} {v}" for v, uv in zip(pol.domains, row) if uv and v != u]
     for a, d in system.action_domain.items():
         lines.append(f"action {a} {d}")
     for s in system.states:

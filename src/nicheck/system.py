@@ -101,7 +101,7 @@ class Policy:
     added for every declared domain, and explicit self-edges are deduplicated.
     """
 
-    __slots__ = ("domains", "edges", "_index")
+    __slots__ = ("domains", "edges", "_index", "_may")
 
     def __init__(self, domains: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.domains = _tuple_of(domains, "domains")
@@ -119,6 +119,10 @@ class Policy:
             if not (_known(u, self._index) and _known(v, self._index)):
                 raise InputError(f"interference edge ({u}, {v}) names an undeclared domain")
         self.edges = frozenset(edges) | frozenset((d, d) for d in self.domains)
+        # `_may[u][v]`: domain index u may interfere with domain index v.
+        # Every System over this Policy reads this one matrix.
+        self._may = [[(u, v) in self.edges for v in self.domains]
+                     for u in self.domains]
 
     def interferes(self, u: str, v: str) -> bool:
         """True when domain u may interfere with domain v."""
@@ -149,13 +153,9 @@ def policy_image(policy: Policy, sources: Iterable[str]) -> set[str]:
 
 def is_transitive(policy: Policy) -> bool:
     """True when u~>v and v~>w always imply u~>w."""
-    succ: dict[str, set[str]] = {d: set() for d in policy.domains}
-    for u, v in policy.edges:
-        succ[u].add(v)
-    for u, v in policy.edges:
-        if not succ[v] <= succ[u]:
-            return False
-    return True
+    may = policy._may
+    return all(row[w] for row in may for v, uv in enumerate(row) if uv
+               for w, vw in enumerate(may[v]) if vw)
 
 
 def _check_kinds(policy, actions, transitions=None, observations=None) -> None:
@@ -174,26 +174,28 @@ class System:
 
     A System is valid from construction: the constructor checks every
     declaration and builds the step and observation tables in the same walk
-    over them, and raises `InputError` whose `diagnostics` lists all the
-    problems it found, so no operation needs to check again.
-    `parse_system` does not go through the constructor: its line loop makes
-    the same checks as it reads each declaration, fills the tables itself
-    and hands them over whole (`_from_tables`).  Transitions not mentioned
-    default to self-loops and observations not mentioned default to the
-    null token.
+    over them (`_check_and_build`), and raises `InputError` whose
+    `diagnostics` lists all the problems it found, so no operation needs to
+    check again.  `parse_system` does not go through the constructor: its
+    line loop makes the same checks as it reads each declaration, fills the
+    tables itself and hands them over whole (`_from_tables`).  Either way
+    the finished tables reach `_store`, the one method that assigns a
+    System's attributes.  Transitions not mentioned default to self-loops
+    and observations not mentioned default to the null token.
 
     Systems are immutable; the rows of the step and observation tables are
-    tuples, and the tables are the only stored form of the machine.
-    `transitions`, `observations` and `action_domain` are read-only views
-    of them: each read builds a new dict in table order (so read one once,
-    outside a loop), and the first two leave out self-loops and null
-    tokens, even ones declared explicitly.  The reachable states and their
-    BFS tree are computed on first use and kept; every witness prefix is a
-    walk up that tree.  Systems may be shared freely across threads, with
-    one caveat: the definitional tree functions (`ta`, `to`, `ito`, and
-    `trace_key` under `ta`) hash-cons into a per-system table that is not
-    locked, so drive them from one thread per system at a time.  Bounded
-    scans keep their own tables.
+    tuples, and the tables are the only stored form of the machine.  The
+    interference matrix `_may` is the policy's own, shared by every System
+    over that Policy.  `transitions`, `observations` and `action_domain`
+    are read-only views of the tables: each read builds a new dict in table
+    order (so read one once, outside a loop), and the first two leave out
+    self-loops and null tokens, even ones declared explicitly.  The
+    reachable states and their BFS tree are computed on first use and kept;
+    every witness prefix is a walk up that tree.  Systems may be shared
+    freely across threads, with one caveat: the definitional tree functions
+    (`ta`, `to`, `ito`, and `trace_key` under `ta`) hash-cons into a
+    per-system table that is not locked, so drive them from one thread per
+    system at a time.  Bounded scans keep their own tables.
     """
 
     def __init__(
@@ -206,48 +208,42 @@ class System:
         observations: Mapping[tuple[str, str], str] | None = None,
     ):
         _check_kinds(policy, actions, transitions, observations)
-        self.policy = policy
-        self.states = _tuple_of(states, "states")
-        self.initial = initial
-        self.actions = tuple(actions)
-        self._keep_tables(actions, *self._check_and_build(
-            actions, transitions or {}, observations or {}))
+        self._store(policy, initial, *self._check_and_build(
+            policy, _tuple_of(states, "states"), initial, actions,
+            transitions or {}, observations or {}))
 
     @classmethod
-    def _from_tables(cls, policy, initial, action_domain, sidx, aidx,
-                     step, obs) -> "System":
+    def _from_tables(cls, policy, initial, sidx, aidx, dom, step, obs) -> "System":
         """A System from tables its caller has already checked.
 
-        `action_domain` maps each action to its domain's name; `sidx` and
-        `aidx` map each state and action to its index, in declaration order;
-        `step` and `obs` are the finished tables, a list of tuple rows each.
-        `sidx` and `aidx` are kept, not copied, so the caller must hold no
-        other reference to them.  Nothing is checked: `parse_system` is the
-        one caller, and its line loop has made every check the constructor
+        `sidx` and `aidx` map each state and action to its index, in
+        declaration order; `dom` lists each action's domain index; `step`
+        and `obs` are the finished tables, a list of tuple rows each.  The
+        tables are kept, not copied, so the caller must hold no other
+        reference to them.  Nothing is checked: `parse_system` is the one
+        caller, and its line loop has made every check the constructor
         would.
         """
         self = cls.__new__(cls)
-        self.policy = policy
-        self.states = tuple(sidx)
-        self.initial = initial
-        self.actions = tuple(aidx)
-        self._keep_tables(action_domain, sidx, aidx, step, obs)
+        self._store(policy, initial, sidx, aidx, dom, step, obs)
         return self
 
     # -- validation and tables --------------------------------------------
 
-    def _check_and_build(self, action_domain, transitions, observations):
+    @staticmethod
+    def _check_and_build(policy, states, initial, action_domain, transitions,
+                         observations):
         """Check every declaration and fill the tables in one walk.
 
-        Each declared transition and observation is resolved to indices
-        once; its diagnostics are appended in declaration order, and its
-        table cell is written while no diagnostic has been found.  Raises
-        `InputError` with every diagnostic, the first in its message, when
-        there is any; otherwise returns the state and action index dicts
-        and the step and observation tables.
+        Each distinct action's domain, and each declared transition and
+        observation, is resolved to indices once; its diagnostics are
+        appended in declaration order, and its table cell is written while
+        no diagnostic has been found.  Raises `InputError` with every
+        diagnostic, the first in its message, when there is any; otherwise
+        returns the state and action index dicts, each action's domain
+        index, and the step and observation tables.
         """
         out: list[str] = []
-        states, actions, policy = self.states, self.actions, self.policy
         for s in states:
             if _bad_name(s):
                 out.append(f"bad state name {s!r}")
@@ -261,8 +257,9 @@ class System:
             out.append("duplicate state declaration")
         if not states:
             out.append("no states declared")
-        elif self.initial not in states:
-            out.append(f"initial state {self.initial!r} is not declared")
+        elif initial not in states:
+            out.append(f"initial state {initial!r} is not declared")
+        actions = tuple(action_domain)
         for a in actions:
             if _bad_name(a):
                 out.append(f"bad action name {a!r}")
@@ -270,9 +267,12 @@ class System:
         if len(aidx) != len(actions):
             out.append("duplicate action declaration")
         didx = policy._index
+        dom = []
         for a in aidx:
             d = action_domain[a]
-            if not _known(d, didx):
+            try:
+                dom.append(didx[d])
+            except (KeyError, TypeError):  # an unhashable name is never a domain
                 out.append(f"action {a}: unknown domain {d!r}")
 
         # Default rows (self-loops, null observations), then one pass over
@@ -315,27 +315,25 @@ class System:
                 obs[si][di] = token
         if out:
             raise InputError(f"invalid system: {out[0]}", out)
-        return sidx, aidx, list(map(tuple, step)), list(map(tuple, obs))
+        return sidx, aidx, dom, list(map(tuple, step)), list(map(tuple, obs))
 
-    def _keep_tables(self, action_domain, sidx, aidx, step, obs) -> None:
-        """Keep the checked index dicts and tables, number each action's
-        domain from `action_domain`, derive the per-action tables from the
-        policy, and start the caches empty."""
-        self._sidx, self._aidx, self._step, self._obs = sidx, aidx, step, obs
-        policy, didx = self.policy, self.policy._index
+    def _store(self, policy, initial, sidx, aidx, dom, step, obs) -> None:
+        """Assign every attribute: keep the checked index dicts and tables,
+        derive the per-action tables from `dom` and the policy's matrix,
+        and start the caches empty."""
+        self.policy, self.initial = policy, initial
+        self.states, self.actions = tuple(sidx), tuple(aidx)
+        self._sidx, self._aidx, self._dom, self._step, self._obs = (
+            sidx, aidx, dom, step, obs)
+        self._may = may = policy._may
         nd = len(policy.domains)
-        self._dom = [didx[action_domain[a]] for a in self.actions]
-        self._may = [
-            [policy.interferes(u, v) for v in policy.domains]
-            for u in policy.domains
-        ]
         self._domain_actions: list[list[int]] = [[] for _ in range(nd)]
-        for ai, di in enumerate(self._dom):
+        for ai, di in enumerate(dom):
             self._domain_actions[di].append(ai)
         # Per action, the domains its domain may interfere with: those whose
         # keys it may change.
-        image = [tuple([v for v in range(nd) if row[v]]) for row in self._may]
-        self._moved = [image[di] for di in self._dom]
+        image = [tuple([v for v in range(nd) if row[v]]) for row in may]
+        self._moved = [image[di] for di in dom]
         self._trees: dict = {}
         self._reach: list[int] | None = None
         self._parent: list[int] = []
@@ -463,7 +461,11 @@ class System:
         for i, s in enumerate(order):
             for a in action_names:
                 t = step_fn(s, a)
-                j = index.get(t)
+                try:
+                    j = index.get(t)
+                except TypeError:
+                    raise InputError(f"step_fn({s!r}, {a!r}) gave {t!r}, which is"
+                                     " not hashable") from None
                 if j is None:
                     if len(order) >= MAX_STATES:
                         raise InputError(f"state space exceeds {MAX_STATES} states")

@@ -48,7 +48,7 @@ class Verdict:
 SECURE = Verdict(True)
 
 
-def _witness(system: System, up: list, label: list, seeds: int, k: int) -> tuple:
+def _witness(system: System, up: list, label: list, k: int) -> tuple:
     """Two runs ending in the states of merge k, rebuilt from the merge forest.
 
     Walks parent merges down to a seed, whose labels (x, y) lead from its
@@ -56,14 +56,26 @@ def _witness(system: System, up: list, label: list, seeds: int, k: int) -> tuple
     that root.  Returns (alpha, beta) as action-name tuples.
     """
     acts = []
-    while k >= seeds:
+    while (p := up[k]) >= 0:
         acts.append(label[k])
-        k = up[k]
+        k = p
     names = system.actions
-    prefix = tuple(names[a] for a in system._shortest_path(up[k]))
+    prefix = tuple(names[a] for a in system._shortest_path(-1 - p))
     tail = tuple(names[a] for a in reversed(acts))
     x, y = label[k]
     return prefix + x + tail, prefix + y + tail
+
+
+def _violation(system: System, observers: list[int], up: list, label: list,
+               s: int, t: int):
+    """(domain name, alpha, beta) for the last merge, which joined states s
+    and t, when an observer tells them apart (the first such observer
+    listed); else None."""
+    obs_s, obs_t = system._obs[s], system._obs[t]
+    for u in observers:
+        if obs_s[u] != obs_t[u]:
+            return (system.policy.domains[u], *_witness(system, up, label, len(up) - 1))
+    return None
 
 
 def _closure(system: System, observers: list[int], lr_pairs: Iterable,
@@ -80,14 +92,13 @@ def _closure(system: System, observers: list[int], lr_pairs: Iterable,
 
     The union-find is one int list: `parent[x]` is x's parent, or -1 - rank
     when x is a root.  Finds halve paths and unions go by rank.  Merge k
-    joins `left[k]` and `right[k]`.  Seeds come first, so merge k is a seed
-    when k < `seeds`; then `up[k]` is its diagonal root and `label[k]` its
-    (x, y), else `up[k]` is the merge it was stepped from and `label[k]` the
-    action index.  The sync phase walks the merges in order.
+    joins `left[k]` and `right[k]`.  A seed marks itself: `up[k]` is
+    -1 - its diagonal root and `label[k]` its (x, y); any other merge has
+    `up[k]` the merge it was stepped from and `label[k]` the action index.
+    Seeds come first, and the sync phase walks the merges in order.
     """
     step = system._step
     obs = system._obs
-    domains = system.policy.domains
     parent = [-1] * len(system.states)
     left, right, up, label = [], [], [], []
     for cs, ct, root, x, y in lr_pairs:
@@ -116,15 +127,10 @@ def _closure(system: System, observers: list[int], lr_pairs: Iterable,
         parent[rt] = rs
         left.append(cs)
         right.append(ct)
-        up.append(root)
+        up.append(-1 - root)
         label.append((x, y))
-        obs_s, obs_t = obs[cs], obs[ct]
-        if obs_s != obs_t:
-            for u in observers:
-                if obs_s[u] != obs_t[u]:
-                    n = len(left)
-                    return (domains[u], *_witness(system, up, label, n, n - 1))
-    seeds = len(left)
+        if obs[cs] != obs[ct] and (hit := _violation(system, observers, up, label, cs, ct)):
+            return hit
     k = 0
     while k < len(left):
         row_s, row_t = step[left[k]], step[right[k]]
@@ -157,12 +163,9 @@ def _closure(system: System, observers: list[int], lr_pairs: Iterable,
             right.append(ta)
             up.append(k)
             label.append(a)
-            obs_s, obs_t = obs[sa], obs[ta]
-            if obs_s != obs_t:
-                for u in observers:
-                    if obs_s[u] != obs_t[u]:
-                        return (domains[u],
-                                *_witness(system, up, label, seeds, len(left) - 1))
+            if obs[sa] != obs[ta] and (hit := _violation(system, observers, up, label,
+                                                         sa, ta)):
+                return hit
         k += 1
     return None
 

@@ -78,12 +78,23 @@ class TestIsTransitive:
     def test_two_level_is_transitive(self):
         assert nc.is_transitive(nc.Policy(("L", "H"), (("L", "H"),)))
 
-    def test_matches_triple_enumeration(self):
+    @staticmethod
+    def policies():
+        """Every policy on 1-3 domains (69), then 100 random ones on 1-4."""
+        for n in range(1, 4):
+            doms = [f"d{k}" for k in range(n)]
+            pairs = [(u, v) for u in doms for v in doms if u != v]
+            for mask in range(1 << len(pairs)):
+                yield nc.Policy(doms, [e for i, e in enumerate(pairs) if mask >> i & 1])
         rng = random.Random(11)
         for i in range(100):
             doms = [f"d{k}" for k in range(rng.randint(1, 4))]
-            edges = [(u, v) for u in doms for v in doms if rng.random() < 0.5]
-            p = nc.Policy(doms, edges)
+            yield nc.Policy(doms, [(u, v) for u in doms for v in doms if rng.random() < 0.5])
+
+    def test_matches_triple_enumeration(self):
+        policies = list(self.policies())
+        assert len(policies) == 169
+        for p in policies:
             brute = all(
                 (u, w) in p.edges
                 for (u, v) in p.edges
@@ -441,7 +452,9 @@ class TestTables:
         assert system.states == tuple(states)
         assert system.actions == tuple(actions)
         assert all(type(row) is tuple for row in system._step)
-        domains = system.policy.domains
+        policy = system.policy
+        domains = policy.domains
+        assert system._may == [[policy.interferes(u, v) for v in domains] for u in domains]
         for ai, a in enumerate(system.actions):
             assert domains[system._dom[ai]] == actions[a]
         for si, s in enumerate(system.states):
@@ -482,6 +495,17 @@ class TestTables:
         for text in self.texts():
             self.check(nc.parse_system(text), *self.declared(text))
 
+    def test_every_path_stores_the_same_attributes(self, fig8):
+        parsed = nc.parse_system(nc.serialize_system(fig8))
+        rebuilt = nc.System.from_functions(
+            fig8.policy, fig8.action_domain, "t0",
+            lambda s, a: nc.run(fig8, s, (a,)), lambda s, d: fig8.obs(s, d))
+        assert parsed == rebuilt == fig8
+        assert vars(parsed).keys() == vars(rebuilt).keys() == vars(fig8).keys()
+        # Systems over one Policy share its interference matrix.
+        assert rebuilt._may is fig8._may is fig8.policy._may
+        assert parsed._may is parsed.policy._may
+
 
 class TestFromFunctions:
     def test_matches_explicit_construction(self, fig8):
@@ -500,6 +524,14 @@ class TestFromFunctions:
                 nc.Policy(("A",)), {"a": "A"}, 0,
                 lambda s, a: 1 - s, lambda s, d: "x", name_fn=lambda s: "same",
             )
+
+    def test_unhashable_step_value_is_an_input_error(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.System.from_functions(
+                nc.Policy(("A",)), {"a": "A"}, 0,
+                lambda s, a: [s], lambda s, d: "x",
+            )
+        assert str(err.value) == "step_fn(0, 'a') gave [0], which is not hashable"
 
     def test_state_budget_enforced(self, monkeypatch):
         monkeypatch.setattr(nc.system, "MAX_STATES", 1)
