@@ -87,7 +87,10 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
 
 def _count_traces(n_actions: int, depth: int, budget: int) -> int:
     """Traces of length <= depth, counted exactly up to ten times `budget`;
-    past that the count stops and is only a lower bound, still above budget."""
+    past that the count stops and is only a lower bound, still above budget.
+    With one action there is one trace per length, counted without a loop."""
+    if n_actions == 1:
+        return depth + 1
     total, layer = 1, 1
     for _ in range(depth):
         layer *= n_actions
@@ -110,7 +113,10 @@ def bounded_check(
     Traces are scanned in shortlex order (length first, then action
     declaration order), so the reported pair is the lexicographically first
     violating one and verdicts are reproducible.  Raises `BudgetError` when
-    more than `budget` traces would be enumerated.
+    more than `budget` traces would be enumerated.  The budget counts
+    traces, not work: every profile keeps a copy of its trace, so on a
+    one-action machine, with one trace per length, the scan's cost grows
+    with depth squared.
 
     Each length below the depth is built from the profiles of the previous
     one, extending each by every action in declaration order, so every trace
@@ -296,7 +302,7 @@ def exact_pair_check_ip(system: System) -> Verdict:
     step, may, dom = system._step, system._may, system._dom
     nd = len(system.policy.domains)
     names = system.actions
-    reach = system._reachable_idx()
+    reach = system._reach
     for u, uname in enumerate(system.policy.domains):
         for v in range(nd):
             if may[v][u]:

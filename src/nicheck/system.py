@@ -169,6 +169,29 @@ def _check_kinds(policy, actions, transitions=None, observations=None) -> None:
             raise InputError(f"{name} must be a mapping, got {table!r}")
 
 
+def _bfs(step: list[tuple[int, ...]], s0: int) -> tuple[list[int], list[int]]:
+    """The states reachable from `s0` through the table `step`, BFS layer by
+    layer and declaration order inside a layer, and each state's BFS parent:
+    -1 when unreachable, `s0` its own parent.
+
+    Layers are expanded in discovery order (only the copy in the output is
+    sorted), so these are exactly the parents a FIFO search assigns.
+    """
+    parent = [-1] * len(step)
+    parent[s0] = s0
+    order, layer = [s0], [s0]
+    while layer:
+        nxt = []
+        for s in layer:
+            for t in step[s]:
+                if parent[t] < 0:
+                    parent[t] = s
+                    nxt.append(t)
+        order += sorted(nxt)
+        layer = nxt
+    return order, parent
+
+
 class System:
     """A finite deterministic machine observed per security domain.
 
@@ -190,12 +213,14 @@ class System:
     are read-only views of the tables: each read builds a new dict in table
     order (so read one once, outside a loop), and the first two leave out
     self-loops and null tokens, even ones declared explicitly.  The
-    reachable states and their BFS tree are computed on first use and kept;
-    every witness prefix is a walk up that tree.  Systems may be shared
-    freely across threads, with one caveat: the definitional tree functions
-    (`ta`, `to`, `ito`, and `trace_key` under `ta`) hash-cons into a
-    per-system table that is not locked, so drive them from one thread per
-    system at a time.  Bounded scans keep their own tables.
+    reachable states (`_reach`) and their BFS tree (`_parent`) are built
+    when the System is stored; every decider seeds from the first, and
+    every witness prefix is a walk up the second.  After `_store` only the
+    tree table `_trees` changes, so Systems may be shared freely across
+    threads, with one caveat: the definitional tree functions (`ta`, `to`,
+    `ito`, and `trace_key` under `ta`) hash-cons into that table, which is
+    not locked, so drive them from one thread per system at a time.
+    Bounded scans keep their own tables.
     """
 
     def __init__(
@@ -320,7 +345,7 @@ class System:
     def _store(self, policy, initial, sidx, aidx, dom, step, obs) -> None:
         """Assign every attribute: keep the checked index dicts and tables,
         derive the per-action tables from `dom` and the policy's matrix,
-        and start the caches empty."""
+        build the BFS tree, and start the tree table empty."""
         self.policy, self.initial = policy, initial
         self.states, self.actions = tuple(sidx), tuple(aidx)
         self._sidx, self._aidx, self._dom, self._step, self._obs = (
@@ -334,9 +359,8 @@ class System:
         # keys it may change.
         image = [tuple([v for v in range(nd) if row[v]]) for row in may]
         self._moved = [image[di] for di in dom]
+        self._reach, self._parent = _bfs(step, sidx[initial])
         self._trees: dict = {}
-        self._reach: list[int] | None = None
-        self._parent: list[int] = []
 
     def require_valid(self) -> None:
         """Does nothing: the constructor has already checked the System."""
@@ -387,38 +411,10 @@ class System:
     def obs(self, state: str, domain: str) -> str:
         return self._obs[self.state_index(state)][self.policy.index(domain)]
 
-    def _reachable_idx(self) -> list[int]:
-        """Reachable state indices, BFS layer by layer, declaration order inside a layer.
-
-        Also records each state's BFS parent in `_parent`: -1 when
-        unreachable, the initial state its own parent.  Layers are expanded
-        in discovery order (only the copy in the output is sorted), so these
-        are exactly the parents a FIFO search assigns.
-        """
-        if self._reach is None:
-            step = self._step
-            s0 = self.state_index(self.initial)
-            parent = [-1] * len(self.states)
-            parent[s0] = s0
-            order, layer = [s0], [s0]
-            while layer:
-                nxt = []
-                for s in layer:
-                    for t in step[s]:
-                        if parent[t] < 0:
-                            parent[t] = s
-                            nxt.append(t)
-                order += sorted(nxt)
-                layer = nxt
-            self._reach = order
-            self._parent = parent
-        return self._reach
-
     def _shortest_path(self, target: int) -> tuple[int, ...]:
         """Action indices of a BFS-shortest path from the initial state to
-        `target`: the walk up the parents `_reachable_idx` records, taking at
-        each hop the first action of the parent that reaches the child."""
-        self._reachable_idx()
+        `target`: the walk up the BFS parents, taking at each hop the first
+        action of the parent that reaches the child."""
         parent, step = self._parent, self._step
         if parent[target] < 0:
             raise InputError("witness state is unreachable")
@@ -521,4 +517,4 @@ def run(system: System, start: str, alpha: Iterable[str]) -> str:
 
 def reachable_states(system: System) -> tuple[str, ...]:
     """States reachable from the initial state, BFS layer then declaration order."""
-    return tuple(system.states[i] for i in system._reachable_idx())
+    return tuple(system.states[i] for i in system._reach)

@@ -202,7 +202,7 @@ def _first_violation(system: System, closures: Iterable) -> Verdict:
 def decide_p(system: System) -> Verdict:
     """Decide security in the purge sense: every domain's observation depends
     only on the actions of domains permitted to interfere with it."""
-    reach = system._reachable_idx()
+    reach = system._reach
     may, dom = system._may, system._dom
     all_actions = list(range(len(system.actions)))
     return _first_violation(system, (
@@ -214,7 +214,7 @@ def decide_p(system: System) -> Verdict:
 
 def decide_ip(system: System) -> Verdict:
     """Decide security in the intransitive-purge sense."""
-    reach = system._reachable_idx()
+    reach = system._reach
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     return _first_violation(system, (
@@ -231,7 +231,7 @@ def decide_ta(system: System) -> Verdict:
     first = decide_ip(system)
     if not first.secure:
         return first
-    reach = system._reachable_idx()
+    reach = system._reach
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     return _first_violation(system, (

@@ -76,6 +76,14 @@ class TestBoundedCheck:
             nc.bounded_check(pcp_demo, "p", 12, budget=10 ** 9)
         assert err.value.trace_count > 10 ** 9
 
+    def test_one_action_budget_is_counted_exactly(self):
+        # One trace per length: the count is depth + 1, found without
+        # walking the depth (a loop over 10^9 lengths would take seconds).
+        one = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
+        with pytest.raises(nc.BudgetError) as err:
+            nc.bounded_check(one, "p", 10 ** 9)
+        assert err.value.trace_count == 10 ** 9 + 1
+
     def test_negative_depth_rejected(self, fig5):
         with pytest.raises(nc.InputError):
             nc.bounded_check(fig5, "p", -3)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from collections.abc import Mapping
 from types import ModuleType
@@ -156,7 +158,7 @@ class TestReachableStates:
 
     @staticmethod
     def _set_bfs(s):
-        # The BFS that `System._reachable_idx` replaced: a set per layer,
+        # The BFS that `system._bfs` replaced: a set per layer,
         # sorted into declaration order.
         start = s.state_index(s.initial)
         seen, order, layer = {start}, [start], [start]
@@ -180,7 +182,49 @@ class TestReachableStates:
                 systems.append(nc.gen_random_system(nc.GenParams(
                     n, rng.randint(1, 4), rng.randint(1, 3), 2, 0.3, 3700 + i)))
         for s in systems:
-            assert s._reachable_idx() == self._set_bfs(s)
+            assert s._reach == self._set_bfs(s)
+
+    def test_each_construction_path_stores_the_tree(self, fig8):
+        # A System just built, by any of the three paths, holds its BFS
+        # order and parents before any decider or walk has run.
+        built = nc.System(fig8.policy, fig8.states, fig8.initial,
+                          fig8.action_domain, fig8.transitions, fig8.observations)
+        parsed = nc.parse_system(nc.serialize_system(fig8))
+        explored = nc.System.from_functions(
+            fig8.policy, fig8.action_domain, fig8.initial,
+            lambda s, a: nc.run(fig8, s, (a,)), lambda s, d: fig8.obs(s, d))
+        island = nc.System(nc.Policy(("A",)), ("s0", "island"), "s0", {"a": "A"},
+                           {("island", "a"): "s0"})
+        for s in (built, parsed, explored, island):
+            assert s._reach == self._set_bfs(s)
+            assert [q for q, p in enumerate(s._parent) if p >= 0] == sorted(s._reach)
+
+    def test_only_store_assigns_attributes(self):
+        # A System is fixed once `_store` returns: no other method of the
+        # class assigns, deletes or `setattr`s an attribute of `self`.
+        tree = ast.parse(inspect.getsource(nc.System))
+        found = []
+        for method in ast.walk(tree):
+            if not isinstance(method, ast.FunctionDef) or method.name == "_store":
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("setattr", "delattr")):
+                    targets = [ast.Attribute(node.args[0], "?")]
+                else:
+                    continue
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (isinstance(leaf, ast.Attribute)
+                                and isinstance(leaf.value, ast.Name)
+                                and leaf.value.id == "self"):
+                            found.append((method.name, leaf.attr))
+        assert found == []
+        assert "_store" in {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
 
     def test_closed_under_step(self):
         for params in corpus_params(40, seed=31):

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -50,7 +51,7 @@ class TestUnionFind:
 class TestWitnessStoreForest:
     def _store_for(self, system, u):
         ui = system.policy.index(u)
-        reach = system._reachable_idx()
+        reach = system._reach
         invisible = [
             a for a in range(len(system.actions))
             if not system._may[system._dom[a]][ui]
@@ -223,6 +224,33 @@ class TestAgreementSmoke:
                 assert p.secure == ta.secure == ip.secure
 
 
+def test_fresh_system_shared_by_four_threads():
+    # The System docstring says a System may be shared across threads: four
+    # deciders started together on one just-built insecure System give the
+    # verdicts they give one after another.
+    deciders = (nc.decide_p, nc.decide_ip, nc.decide_ta, nc.exact_pair_check_ip)
+    params = nc.GenParams(3000, 3, 3, 2, 0.3, 1)
+    serial = [repr(decide(nc.gen_random_system(params))) for decide in deciders]
+    shared = nc.gen_random_system(params)
+    start = threading.Barrier(len(deciders))
+    out: list = [None] * len(deciders)
+
+    def run(i):
+        start.wait()
+        try:
+            out[i] = repr(deciders[i](shared))
+        except Exception as exc:  # reported by the assertion below
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(deciders))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert out == serial
+    assert all(not v.startswith("Verdict(secure=True") for v in serial)
+
+
 def _perturb(system, rng):
     """The system with one or two transition targets or observations changed."""
     trans, obs = dict(system.transitions), dict(system.observations)
@@ -238,7 +266,7 @@ def _perturb(system, rng):
 
 def _per_observer_ip(system):
     """decide_ip as one closure per (observer u, excluded domain v)."""
-    reach = system._reachable_idx()
+    reach = system._reach
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     for u in range(nd):
@@ -258,7 +286,7 @@ def _per_observer_ta(system):
     first = _per_observer_ip(system)
     if not first.secure:
         return first
-    reach = system._reachable_idx()
+    reach = system._reach
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
     for u in range(nd):
@@ -394,7 +422,7 @@ class TestFlatClosureIdentity:
             3000, rng.randint(2, 4), rng.randint(2, 3), 2, 0.3, 9100 + i)) for i in range(2)]
         checked = 0
         for s in systems:
-            for q in s._reachable_idx():
+            for q in s._reach:
                 assert s._shortest_path(q) == reference_closure.shortest_path(s, q)
                 checked += 1
         assert checked >= 19_000
