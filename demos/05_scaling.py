@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Near-linear scaling of the purge-based decider.
 
-The decider does one union-find closure per observer domain; unions are
-bounded by the state count, so the whole thing is effectively linear in
-|states| for fixed action and domain counts.  We time it on random machines
-with constant observations (constant so that the closure always runs to
-completion instead of stopping at an early violation).
+The decider does one union-find closure per observer domain that sees at
+least two tokens; unions are bounded by the state count, so the whole thing
+is effectively linear in |states| for fixed action and domain counts.  The
+machines timed here are random with constant observations: secure, so no run
+stops at an early violation, but with no observing domain either, so the
+decider runs no closure and each timing is its walk over the reachable
+states.
 """
 
 from nicheck.cli import linear_fit_max_ratio, run_scaling_bench

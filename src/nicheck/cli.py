@@ -61,9 +61,11 @@ def run_scaling_bench(notion="p", sizes=(1000, 10000, 100000), seed=7):
     """Time one decider over random constant-observation machines with 4
     actions over 3 domains.
 
-    Constant observations keep the machines secure, so every run performs the
-    complete closure rather than exiting at the first violation; that is the
-    workload whose growth should stay near-linear in the state count.
+    Constant observations keep the machines secure, so no run exits at a
+    first violation.  They also leave every domain seeing one token, so the
+    deciders run no closure on them: each run times the walk over the
+    reachable states that finds no observing domain, which is linear in the
+    state count.
     """
     decide = _lookup(_DECIDERS, notion, "security notion")
     results = []

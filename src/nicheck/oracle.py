@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import BudgetError, InputError
 from .semantics import CHILD_KEYS, TraceProfile, ftview, ipurge, purge, ta, tview
-from .system import System, _int_of, _lookup, _tuple_of, gc_paused, run
+from .system import System, _int_of, _lookup, _observing, _tuple_of, gc_paused, run
 from .verify import Verdict
 
 NOTIONS = tuple(CHILD_KEYS)
@@ -133,16 +133,17 @@ def bounded_check(
     the domains its last action may interfere with (`System._moved`); every
     other domain keeps its parent's key and, the parent having passed,
     clashes exactly when its observation changed.  Only the checked
-    domains, those that observe at least two tokens over the declared
-    states, have key tables, key lookups or observation comparisons: a
-    domain with one token in every state sees that token at the end of
-    every trace, so none of its key classes holds a violation, and skipping
-    it leaves the first violation as it was.  The profiles still step every
-    domain's key, because an unchecked actor's keys feed the checked ones.
-    The scan builds no reference cycle and runs with the cyclic garbage
-    collector paused (`gc_paused`); everything it built is freed before the
-    collector is switched back on.  `depth` and `budget` must be ints, not
-    bools, or `InputError` is raised.
+    domains, those that observe at least two tokens over the reachable
+    states (`_observing`, the test the deciders use too), have key
+    tables, key lookups or observation comparisons: every trace ends in a
+    reachable state, so a domain with one token in every such state sees
+    that token at the end of every trace, none of its key classes holds a
+    violation, and skipping it leaves the first violation as it was.  The
+    profiles still step every domain's key, because an unchecked actor's
+    keys feed the checked ones.  The scan builds no reference cycle and runs
+    with the cyclic garbage collector paused (`gc_paused`); everything it
+    built is freed before the collector is switched back on.  `depth` and
+    `budget` must be ints, not bools, or `InputError` is raised.
     """
     child_keys = _lookup(CHILD_KEYS, notion, "security notion")
     _int_of(depth, "depth")
@@ -174,9 +175,9 @@ def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict
     domains = system.policy.domains
     nd = len(domains)
     obs, step = system._obs, system._step
-    # A domain that observes one token in every declared state never tells
+    # A domain that observes one token in every reachable state never tells
     # two traces apart, so only the others are keyed and looked up.
-    checked = [u for u, column in enumerate(zip(*obs)) if len(set(column)) > 1]
+    checked = [u for u, seen in enumerate(_observing(system)) if seen]
     # Per action: the checked domains whose key it may change and those whose
     # key it leaves as the parent's.
     moves = [(ai, action, [u for u in checked if u in moved],
@@ -278,7 +279,8 @@ def exact_pair_check_p(system: System) -> Verdict:
     """Decide purge security by searching the product of the system with
     itself: synchronized moves on every action, one-sided moves on actions
     invisible to the observer.  Exact, and independent of the union-find
-    decider."""
+    decider: it searches for every domain, skipping none that sees one
+    token, so it cross-checks the deciders' skip as well."""
     may, dom = system._may, system._dom
     s0 = system.state_index(system.initial)
     all_actions = list(range(len(system.actions)))
@@ -298,7 +300,8 @@ def exact_pair_check_ip(system: System) -> Verdict:
     """Decide intransitive-purge security from its one-insertion
     characterization: an invisible action is inserted before a suffix whose
     actors its domain cannot reach, and the two runs are stepped in lockstep.
-    Exact, and independent of the union-find decider."""
+    Exact, and independent of the union-find decider: like
+    `exact_pair_check_p`, it skips no observer that sees one token."""
     step, may, dom = system._step, system._may, system._dom
     nd = len(system.policy.domains)
     names = system.actions

@@ -518,3 +518,25 @@ def run(system: System, start: str, alpha: Iterable[str]) -> str:
 def reachable_states(system: System) -> tuple[str, ...]:
     """States reachable from the initial state, BFS layer then declaration order."""
     return tuple(system.states[i] for i in system._reach)
+
+
+def _observing(system: System) -> list[bool]:
+    """Per domain, whether it observes at least two tokens over the
+    reachable states.
+
+    A domain that sees one token in every reachable state sees it at the end
+    of every run, so it can never tell two runs apart: no closure and no key
+    class of a bounded scan can find a violation for it.  One walk over the
+    reachable rows, compared with the initial state's row, that stops once
+    every domain is marked.  Computed afresh on each call, never stored.
+    """
+    obs = system._obs
+    first = obs[system._reach[0]]
+    blind = range(len(first))
+    for s in system._reach:
+        row = obs[s]
+        if row != first:
+            blind = [u for u in blind if row[u] == first[u]]
+            if not blind:
+                break
+    return [u not in blind for u in range(len(first))]

@@ -16,14 +16,24 @@ the observer's invisible actions, so it runs one closure per observer.
 `decide_ip` runs one per excluded domain v, and `decide_ta` one more per
 unordered pair {v, w} with no edge either way: the swap seeds of (w, v)
 mirror those of (v, w) and the sync set is symmetric.
+
+A closure serves only observers that see at least two tokens over the
+reachable states (`_observing`, computed afresh by each decider).
+Every state a closure merges is reachable, so a domain that sees one token
+there never sees a difference at a merge: `decide_p` runs no closure for it,
+and `decide_ip` and `decide_ta` drop it from each closure's observers and
+skip a closure left with none.  That changes no verdict or witness: a
+closure stops at the first merge some listed observer sees differently, and
+`_violation` reports the first listed observer that does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
-from .system import System
+from .system import System, _observing
 
 
 @dataclass(frozen=True)
@@ -204,41 +214,48 @@ def decide_p(system: System) -> Verdict:
     only on the actions of domains permitted to interfere with it."""
     reach = system._reach
     may, dom = system._may, system._dom
+    observing = _observing(system)
     all_actions = list(range(len(system.actions)))
     return _first_violation(system, (
         ([u], _lr_single(system, reach, [a for a in all_actions if not may[dom[a]][u]]),
          all_actions)
-        for u in range(len(system.policy.domains))
+        for u in range(len(system.policy.domains)) if observing[u]
     ))
+
+
+def _ip_closures(system: System, observing: list[bool]):
+    """The closures of `decide_ip`, one per excluded domain v that some
+    observing domain outside v's image watches."""
+    reach = system._reach
+    may, dom = system._may, system._dom
+    nd = len(system.policy.domains)
+    return (
+        (observers, _lr_single(system, reach, system._domain_actions[v]),
+         [a for a in range(len(system.actions)) if not may[v][dom[a]]])
+        for v in range(nd)
+        if (observers := [u for u in range(nd) if observing[u] and not may[v][u]])
+    )
 
 
 def decide_ip(system: System) -> Verdict:
     """Decide security in the intransitive-purge sense."""
-    reach = system._reach
-    may, dom = system._may, system._dom
-    nd = len(system.policy.domains)
-    return _first_violation(system, (
-        (observers, _lr_single(system, reach, system._domain_actions[v]),
-         [a for a in range(len(system.actions)) if not may[v][dom[a]]])
-        for v in range(nd)
-        if (observers := [u for u in range(nd) if not may[v][u]])
-    ))
+    return _first_violation(system, _ip_closures(system, _observing(system)))
 
 
 def decide_ta(system: System) -> Verdict:
     """Decide security in the transmitted-information sense: intransitive
     purge security plus indistinguishability of swappable adjacent actions."""
-    first = decide_ip(system)
-    if not first.secure:
-        return first
     reach = system._reach
     may, dom = system._may, system._dom
     nd = len(system.policy.domains)
-    return _first_violation(system, (
-        ([u for u in range(nd) if not may[w][u] or not may[v][u]],
+    observing = _observing(system)
+    return _first_violation(system, chain(_ip_closures(system, observing), (
+        (observers,
          _lr_swap(system, reach, system._domain_actions[v], system._domain_actions[w]),
          [a for a in range(len(system.actions))
           if not may[v][dom[a]] or not may[w][dom[a]]])
         for v in range(nd) for w in range(v + 1, nd)
         if not (may[w][v] or may[v][w])
-    ))
+        and (observers := [u for u in range(nd)
+                           if observing[u] and not (may[w][u] and may[v][u])])
+    )))

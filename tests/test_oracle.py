@@ -428,7 +428,7 @@ class TestKeySkipInvariance:
 
 class TestCheckedDomains:
     """`bounded_check` keys and looks up only the domains that observe at
-    least two tokens over the declared states; the others can never tell two
+    least two tokens over the reachable states; the others can never tell two
     traces apart."""
 
     @staticmethod

@@ -335,9 +335,21 @@ class TestSharedClosure:
         assert separations["p_not_ip"] >= 50 and separations["ip_not_ta"] >= 20
 
     def test_closure_counts_under_fig6_policy(self, fig6, monkeypatch):
-        # constant observations: secure, so every closure runs to completion
-        secure = nc.System(fig6.policy, fig6.states, fig6.initial,
-                           fig6.action_domain, fig6.transitions)
+        # Each domain observes one bit that only its own actions flip, so the
+        # machine is secure under every notion and every closure runs to
+        # completion.  L has no action, so it sees one token and no closure
+        # lists it.
+        policy, owner = fig6.policy, fig6.action_domain
+        domains = policy.domains
+        secure = nc.System.from_functions(
+            policy, owner, (0,) * len(domains),
+            lambda bits, a: tuple(b ^ (d == owner[a]) for d, b in zip(domains, bits)),
+            lambda bits, d: str(bits[policy.index(d)]),
+            lambda bits: "s" + "".join(map(str, bits)))
+        assert len(secure.states) == 16
+        # constant observations: no domain can tell two states apart
+        blind = nc.System(fig6.policy, fig6.states, fig6.initial,
+                          fig6.action_domain, fig6.transitions)
         calls = []
         real = verify._closure
 
@@ -351,7 +363,11 @@ class TestSharedClosure:
         calls.clear()
         assert nc.decide_ta(secure).secure
         assert len(calls) == 5 + 6  # plus one per unordered non-interfering pair
-        assert max(len(observers) for observers in calls) > 1
+        assert 1 < max(len(observers) for observers in calls) <= 4
+        calls.clear()
+        for decide in (nc.decide_p, nc.decide_ip, nc.decide_ta):
+            assert decide(blind).secure
+        assert calls == []
 
 
 def _single_leak(n, seed, fanout):
@@ -426,3 +442,72 @@ class TestFlatClosureIdentity:
                 assert s._shortest_path(q) == reference_closure.shortest_path(s, q)
                 checked += 1
         assert checked >= 19_000
+
+
+def _all_observing(system):
+    return [True] * len(system.policy.domains)
+
+
+class TestBlindObserversSkipped:
+    """A domain that observes one token in every reachable state gets no
+    closure and no key table, and skipping it changes no verdict or witness."""
+
+    def test_skip_changes_no_verdict(self, monkeypatch):
+        deciders = (nc.decide_p, nc.decide_ip, nc.decide_ta)
+        systems = list(TestFlatClosureIdentity().systems())
+        calls = []
+        real = verify._closure
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_closure", counting)
+        skipped = [repr(decide(s)) for s in systems for decide in deciders]
+        closures_skipped = len(calls)
+        calls.clear()
+        monkeypatch.setattr(verify, "_observing", _all_observing)
+        every = [repr(decide(s)) for s in systems for decide in deciders]
+        assert len(skipped) == 3 * 1023
+        assert skipped == every
+        # the corpus has blind observers, so the skip is not vacuous
+        assert closures_skipped < len(calls)
+
+    @staticmethod
+    def machine(reach_the_token: bool):
+        # H sees its own bit; L's second token sits in s2, which only the
+        # second variant reaches (by a second h).
+        trans = {("s0", "h"): "s1"}
+        if reach_the_token:
+            trans["s1", "h"] = "s2"
+        return nc.System(nc.Policy(("H", "L")), ("s0", "s1", "s2"), "s0",
+                         {"h": "H", "l": "L"}, trans,
+                         {("s0", "H"): "0", ("s1", "H"): "1", ("s2", "L"): "1"})
+
+    def test_token_in_an_unreachable_state(self, monkeypatch):
+        s = self.machine(False)
+        assert nc.reachable_states(s) == ("s0", "s1")
+        assert nc.system._observing(s) == [True, False]
+        calls = []
+        real = verify._closure
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_closure", counting)
+        for decide in (nc.decide_p, nc.decide_ip, nc.decide_ta):
+            assert decide(s).secure
+        assert calls and all(observers == [0] for observers in calls)
+        for notion in nc.NOTIONS:
+            got = nc.bounded_check(s, notion, 4)
+            assert not got.insecure and got.depth == 4
+        assert nc.exact_pair_check_p(s).secure
+
+        leak = self.machine(True)
+        assert nc.system._observing(leak) == [True, True]
+        verdicts = [decide(leak) for decide in (nc.decide_p, nc.decide_ip, nc.decide_ta)]
+        assert all(not v.secure and v.domain == "L" for v in verdicts)
+        monkeypatch.setattr(verify, "_observing", _all_observing)
+        planned = [decide(leak) for decide in (nc.decide_p, nc.decide_ip, nc.decide_ta)]
+        assert [repr(v) for v in verdicts] == [repr(v) for v in planned]
