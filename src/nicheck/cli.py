@@ -134,10 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="comma-separated top words")
     p.add_argument("--w", required=True, help="comma-separated bottom words")
     p.add_argument("--out")
+    p.set_defaults(build=lambda a: build_pcp_system(PcpInstance(
+        a.sigma, tuple(a.u.split(",")), tuple(a.w.split(",")))))
 
     p = sub.add_parser("augment-final", help="add observation-freezing final actions")
     p.add_argument("file")
     p.add_argument("--out")
+    p.set_defaults(build=lambda a: augment_final(_load(a.file)))
 
     p = sub.add_parser("gen", help="emit a seeded random system")
     p.add_argument("--states", type=int, required=True)
@@ -147,10 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
+    p.set_defaults(build=lambda a: gen_random_system(GenParams(
+        a.states, a.actions, a.domains, a.obs_tokens, a.density, a.seed)))
 
     p = sub.add_parser("fixture", help="emit one of the named example systems")
     p.add_argument("name", choices=list(FIXTURE_NAMES))
     p.add_argument("--out")
+    p.set_defaults(build=lambda a: fixture(a.name))
 
     p = sub.add_parser("bench", help="time a decider across system sizes")
     p.add_argument("--notion", choices=sorted(_DECIDERS), default="p")
@@ -183,29 +189,6 @@ def _run(args) -> int:
                           "no_violation_up_to": outcome.depth}))
         return 2
 
-    if args.command == "reduce-pcp":
-        instance = PcpInstance(
-            args.sigma,
-            tuple(args.u.split(",")),
-            tuple(args.w.split(",")),
-        )
-        _emit(serialize_system(build_pcp_system(instance)), args.out)
-        return 0
-
-    if args.command == "augment-final":
-        _emit(serialize_system(augment_final(_load(args.file))), args.out)
-        return 0
-
-    if args.command == "gen":
-        params = GenParams(args.states, args.actions, args.domains,
-                           args.obs_tokens, args.density, args.seed)
-        _emit(serialize_system(gen_random_system(params)), args.out)
-        return 0
-
-    if args.command == "fixture":
-        _emit(serialize_system(fixture(args.name)), args.out)
-        return 0
-
     if args.command == "bench":
         results = run_scaling_bench(args.notion, args.sizes, args.seed)
         for r in results:
@@ -213,7 +196,9 @@ def _run(args) -> int:
         print(f"linear fit max ratio: {linear_fit_max_ratio(results):.2f}")
         return 0
 
-    return 3
+    # Every other command builds one System and writes it out.
+    _emit(serialize_system(args.build(args)), args.out)
+    return 0
 
 
 def main(argv) -> int:

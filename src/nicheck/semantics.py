@@ -84,36 +84,32 @@ def ipurge(system: System, u: str, alpha: Iterable[str]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _absorb(seq: tuple, elem: tuple) -> tuple:
-    # Stuttering observations collapse; an action element never absorbs.
-    if seq and seq[-1] == elem:
-        return seq
-    return seq + (elem,)
-
-
 def view(system: System, u: str, alpha: Iterable[str]) -> tuple:
     """Domain `u`'s complete record of the run driven by `alpha`: its own
     actions plus the observation after every step, stutter-free."""
     ui, idxs = _indices(system, u, alpha)
     step, obs, dom = system._step, system._obs, system._dom
     s = system.state_index(system.initial)
-    out = ((OBS, obs[s][ui]),)
+    out = [(OBS, obs[s][ui])]
     for a in idxs:
         s = step[s][a]
         if dom[a] == ui:
-            out = out + ((ACT, system.actions[a]),)
-        out = _absorb(out, (OBS, obs[s][ui]))
-    return out
+            out.append((ACT, system.actions[a]))
+        # Stuttering observations collapse; an action element never absorbs.
+        elem = (OBS, obs[s][ui])
+        if out[-1] != elem:
+            out.append(elem)
+    return tuple(out)
 
 
 def tview(system: System, u: str, alpha: Iterable[str]) -> tuple:
     """Largest prefix of `view` ending in one of `u`'s own actions; empty when
-    `u` performs no action in `alpha`."""
-    v = view(system, u, alpha)
-    for i in range(len(v) - 1, -1, -1):
-        if v[i][0] == ACT:
-            return v[: i + 1]
-    return ()
+    `u` performs no action in `alpha`.
+
+    That is `ftview` without its last observation: the view of `lpre(alpha)`
+    ends in u's last action and the observation after it, and when u never
+    acts it is the initial observation alone."""
+    return ftview(system, u, alpha)[:-1]
 
 
 def lpre(system: System, u: str, alpha: Iterable[str]) -> tuple[str, ...]:
@@ -148,10 +144,11 @@ class InfoTree:
 
     Trees built against the same system share structure: structurally equal
     trees are the same object, so `is` (or `==`, which is identity) decides
-    equality in constant time.
+    equality in constant time.  The system's table holds them weakly, so
+    a tree lives only as long as its callers hold it.
     """
 
-    __slots__ = ("left", "mid", "action", "payload")
+    __slots__ = ("left", "mid", "action", "payload", "__weakref__")
 
     def __init__(self, left, mid, action, payload):
         self.left = left
@@ -172,6 +169,7 @@ class InfoTree:
 def _cons(system: System, left=None, mid=None, action=None, payload=None) -> InfoTree:
     # Children are already consed, so identity keys give exact structural
     # sharing without deep comparisons; a leaf has neither child nor action.
+    # A node holds its children, so no live entry's key names a freed id.
     key = (id(left), id(mid), action, payload)
     table = system._trees
     node = table.get(key)
@@ -257,8 +255,10 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # Incremental per-prefix profile (drives the enumeration oracles)
 # ---------------------------------------------------------------------------
 
-# One key recurrence per notion.  CHILD_KEYS[notion](profile, ai, moved,
-# after) gives the keys of the domains in `moved` for the trace
+# One key recurrence per notion, ta and to sharing one: an action of d
+# sends d's tree under ta and d's view under to, and that is all that
+# differs between them.  CHILD_KEYS[notion](profile, ai, moved, after)
+# gives the keys of the domains in `moved` for the trace
 # `profile.trace + (action ai,)`, read off the parent's profile without
 # building the child's; `after` is the child's observation row.  Ids are
 # interned in the parent's table.  `TraceProfile.step` writes them into the
@@ -298,15 +298,9 @@ def _walk_id(profile, mask):
     return k
 
 
-def _child_ta(profile, ai, moved, after):
+def _child_tree(profile, ai, moved, after):
     table, keys = profile.table, profile.keys
-    sent = keys[profile.system._dom[ai]]
-    return [table.setdefault((keys[u], sent, ai), len(table)) for u in moved]
-
-
-def _child_to(profile, ai, moved, after):
-    table, keys = profile.table, profile.keys
-    sent = profile.views[profile.system._dom[ai]]
+    sent = (keys if profile.views is None else profile.views)[profile.system._dom[ai]]
     return [table.setdefault((keys[u], sent, ai), len(table)) for u in moved]
 
 
@@ -319,8 +313,8 @@ def _child_ito(profile, ai, moved, after):
             for u in moved]
 
 
-CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_ta,
-              "to": _child_to, "ito": _child_ito}
+CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_tree,
+              "to": _child_tree, "ito": _child_ito}
 
 
 class TraceProfile:
@@ -402,8 +396,9 @@ class TraceProfile:
 
         views = self.views
         if views is not None:
-            # Every view ends in its domain's current token, so `_absorb`
-            # grows only the actor's view and those whose token changed.
+            # Every view ends in its domain's current token and collapses
+            # stutter, so only the actor's view and those whose token
+            # changed grow.
             acted = table.setdefault((views[d], ai), len(table))
             views = list(views)
             views[d] = table.setdefault((acted, obs[d]), len(table))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import weakref
 from collections.abc import Callable, Iterable, Mapping
 
 from .errors import InputError
@@ -219,8 +220,10 @@ class System:
     tree table `_trees` changes, so Systems may be shared freely across
     threads, with one caveat: the definitional tree functions (`ta`, `to`,
     `ito`, and `trace_key` under `ta`) hash-cons into that table, which is
-    not locked, so drive them from one thread per system at a time.
-    Bounded scans keep their own tables.
+    not locked, so drive them from one thread per system at a time.  The
+    table holds its trees weakly: a tree stays in it only while a caller
+    holds that tree or a tree built on it, so it never outgrows what the
+    callers keep.  Bounded scans keep their own tables.
     """
 
     def __init__(
@@ -345,7 +348,7 @@ class System:
     def _store(self, policy, initial, sidx, aidx, dom, step, obs) -> None:
         """Assign every attribute: keep the checked index dicts and tables,
         derive the per-action tables from `dom` and the policy's matrix,
-        build the BFS tree, and start the tree table empty."""
+        build the BFS tree, and start the weak tree table empty."""
         self.policy, self.initial = policy, initial
         self.states, self.actions = tuple(sidx), tuple(aidx)
         self._sidx, self._aidx, self._dom, self._step, self._obs = (
@@ -360,7 +363,7 @@ class System:
         image = [tuple([v for v in range(nd) if row[v]]) for row in may]
         self._moved = [image[di] for di in dom]
         self._reach, self._parent = _bfs(step, sidx[initial])
-        self._trees: dict = {}
+        self._trees = weakref.WeakValueDictionary()
 
     def require_valid(self) -> None:
         """Does nothing: the constructor has already checked the System."""

@@ -152,6 +152,26 @@ class TestCollector:
         assert gc.isenabled() is collector
 
 
+class TestCrash:
+    """An unexpected exception exits 3, never 1, which means insecure, with
+    its type and message on stderr and nothing on stdout."""
+
+    @staticmethod
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    def test_decider_crash_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DECIDERS, "p", self.boom)
+        assert main(["check", "--notion", "p", write_fixture(tmp_path, "fig5")]) == 3
+        assert capsys.readouterr() == ("", "RuntimeError: boom\n")
+
+    def test_bounded_crash_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bounded_check", self.boom)
+        assert main(["bounded", "--notion", "to", "--depth", "5",
+                     write_fixture(tmp_path, "fig7")]) == 3
+        assert capsys.readouterr() == ("", "RuntimeError: boom\n")
+
+
 class TestGenerators:
     def test_fixture_output_parses_back(self, capsys):
         assert main(["fixture", "fig8"]) == 0
@@ -164,6 +184,17 @@ class TestGenerators:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_gen_passes_every_option(self, tmp_path, capsys):
+        expected = nc.serialize_system(nc.gen_random_system(nc.GenParams(9, 4, 3, 5, 0.45, 13)))
+        argv = ["gen", "--states", "9", "--actions", "4", "--domains", "3",
+                "--obs-tokens", "5", "--density", "0.45", "--seed", "13"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "gen.ni"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_reduce_pcp_writes_the_demo_machine(self, tmp_path):
         out = tmp_path / "pcp.ni"
@@ -214,7 +245,7 @@ class TestBench:
         with pytest.raises(nc.InputError, match="unknown security notion 'zz'"):
             run_scaling_bench("zz", sizes=(10, 20))
 
-    def test_bench_systems_are_secure_so_the_closure_runs_fully(self):
+    def test_bench_systems_are_secure(self):
         results = run_scaling_bench("p", sizes=(200,), seed=5)
         assert results[0]["secure"]
 

@@ -131,6 +131,17 @@ class TestActionTerminatedViews:
         assert nc.ftview(fig8, "D", ("h", "d")) == (O("0"), A("d"), O("1"))
         assert nc.ftview(fig8, "D", ("d",)) == (O("0"), A("d"), O("0"))
 
+    def test_tview_is_view_cut_at_last_own_action(self):
+        # The definition, read off `view`.
+        rng = random.Random(28)
+        for params in corpus_params(80, seed=28):
+            s = nc.gen_random_system(params)
+            for u in s.policy.domains:
+                alpha = random_trace(rng, s)
+                v = nc.view(s, u, alpha)
+                acts = [i for i, elem in enumerate(v) if elem[0] == ACT]
+                assert nc.tview(s, u, alpha) == (v[: acts[-1] + 1] if acts else ())
+
 
 class TestInfoTrees:
     def test_ta_of_empty_trace_is_epsilon_leaf(self, fig5):
@@ -160,6 +171,26 @@ class TestInfoTrees:
         # observations do not.
         assert nc.to(fig8, "L", ("h", "d")) is nc.to(fig8, "L", ("d",))
         assert nc.ito(fig8, "L", ("h", "d")) is not nc.ito(fig8, "L", ("d",))
+
+    def test_tree_table_keeps_only_held_trees(self):
+        # The system's table holds its trees weakly: rounds of tree keys
+        # whose results are dropped leave only the trees still held.
+        s = nc.fixture("pcp_demo")
+        kept = nc.ta(s, "watcher", s.actions)
+        held = len(s._trees)
+        assert held > 1
+        rng = random.Random(28)
+        for _ in range(500):
+            alpha = tuple(rng.choice(s.actions) for _ in range(12))
+            u = rng.choice(s.policy.domains)
+            for notion in ("ta", "to", "ito"):
+                nc.trace_key(s, notion, u, alpha)
+            nc.to(s, u, alpha)
+            nc.ito(s, u, alpha)
+        assert len(s._trees) == held
+        assert nc.ta(s, "watcher", s.actions) is kept
+        del kept
+        assert len(s._trees) == 0
 
     def test_ito_actor_sends_its_view_before_the_action(self, fig8):
         # At its own action the downgrader transmits its view before `d`;
