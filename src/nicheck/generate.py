@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .reduction import DEMO_INSTANCE, build_pcp_system
-from .system import Policy, System, _int_of, _known
+from .system import NULL_OBS, Policy, System, _int_of, _known
 
 
 @dataclass(frozen=True)
@@ -45,33 +45,29 @@ class GenParams:
 
 def gen_random_system(params: GenParams) -> System:
     """Uniform random transition and observation tables over a random
-    reflexive policy of the requested density."""
+    reflexive policy of the requested density.
+
+    The tables are drawn as indices, states `s0`, `s1`, ... and actions
+    `a0`, `a1`, ... in order, and handed to `System._from_tables` whole;
+    every index drawn is in range, so there is nothing to check."""
     rng = random.Random(params.seed)
-    domains = [f"d{i}" for i in range(params.num_domains)]
+    ns, na, nd = params.num_states, params.num_actions, params.num_domains
+    domains = [f"d{i}" for i in range(nd)]
     edges = [
         (u, v)
         for u in domains
         for v in domains
         if u != v and rng.random() < params.policy_density
     ]
-    policy = Policy(domains, edges)
-    actions = {f"a{i}": domains[rng.randrange(params.num_domains)]
-               for i in range(params.num_actions)}
-    states = [f"s{i}" for i in range(params.num_states)]
-    transitions = {}
-    for s in range(params.num_states):
-        for a in range(params.num_actions):
-            t = rng.randrange(params.num_states)
-            if t != s:
-                transitions[(states[s], f"a{a}")] = states[t]
+    dom = [rng.randrange(nd) for _ in range(na)]
+    step = [tuple([rng.randrange(ns) for _ in range(na)]) for _ in range(ns)]
     tokens = [f"o{i}" for i in range(params.obs_alphabet_size)]
-    observations = {}
     # A single token certainly stutters everywhere; keep the default.
-    if params.obs_alphabet_size > 1:
-        for s in states:
-            for d in domains:
-                observations[(s, d)] = rng.choice(tokens)
-    return System(policy, states, states[0], actions, transitions, observations)
+    obs = ([tuple([rng.choice(tokens) for _ in range(nd)]) for _ in range(ns)]
+           if params.obs_alphabet_size > 1 else [(NULL_OBS,) * nd] * ns)
+    return System._from_tables(Policy(domains, edges), "s0",
+                               {f"s{i}": i for i in range(ns)},
+                               {f"a{i}": i for i in range(na)}, dom, step, obs)
 
 
 # ---------------------------------------------------------------------------

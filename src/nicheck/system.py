@@ -94,6 +94,52 @@ def _known(name, names) -> bool:
         return False
 
 
+def _index(kind: str, names, out: list[str]) -> dict:
+    """Each name mapped to its position, after appending to `out` "bad
+    {kind} name" for each bad one and "duplicate {kind} declaration" when
+    one repeats.  An unhashable name is keyed by a fresh object that no
+    lookup finds, so the dict is shorter than `names` only when a name
+    repeats."""
+    for n in names:
+        if _bad_name(n):
+            out.append(f"bad {kind} name {n!r}")
+    try:
+        index = {n: i for i, n in enumerate(names)}
+    except TypeError:  # an unhashable name, reported above as bad
+        index = {n if isinstance(n, str) else object(): i for i, n in enumerate(names)}
+    if len(index) != len(names):
+        out.append(f"duplicate {kind} declaration")
+    return index
+
+
+def _check_actions(policy, action_domain, out: list[str]) -> tuple[dict, list[int]]:
+    """Each distinct action's index and its domain's index, appending to
+    `out` a diagnostic for each bad or repeated action name and each
+    unknown domain; each action's domain is resolved once."""
+    aidx = _index("action", tuple(action_domain), out)
+    dom = []
+    for a in aidx:
+        d = action_domain[a]
+        try:
+            dom.append(policy._index[d])
+        except (KeyError, TypeError):  # an unhashable name is never a domain
+            out.append(f"action {a}: unknown domain {d!r}")
+    return aidx, dom
+
+
+def _check_token(s, d, token, out: list[str]) -> None:
+    """Append a diagnostic to `out` unless `token` is a good name."""
+    if _bad_name(token):
+        out.append(f"observation for ({s}, {d}): bad token {token!r}")
+
+
+def _reject(out: list[str]) -> None:
+    """Raise `InputError` with every diagnostic in `out`, the first in its
+    message, when there is any."""
+    if out:
+        raise InputError(f"invalid system: {out[0]}", out)
+
+
 class Policy:
     """Reflexive interference relation over an ordered set of domains.
 
@@ -200,11 +246,14 @@ class System:
     declaration and builds the step and observation tables in the same walk
     over them (`_check_and_build`), and raises `InputError` whose
     `diagnostics` lists all the problems it found, so no operation needs to
-    check again.  `parse_system` does not go through the constructor: its
-    line loop makes the same checks as it reads each declaration, fills the
-    tables itself and hands them over whole (`_from_tables`).  Either way
-    the finished tables reach `_store`, the one method that assigns a
-    System's attributes.  Transitions not mentioned default to self-loops
+    check again.  Names are resolved only where they arrive as names: in
+    the constructor and in `parse_system`.  The paths that number their own
+    states do not go through the constructor but hand their finished tables
+    over whole (`_from_tables`): `parse_system`, whose line loop makes the
+    same checks as it reads each declaration, `from_functions`, which runs
+    the constructor's own checks on its names and tokens, and
+    `gen_random_system`.  Every path ends in `_store`, the one method that
+    assigns a System's attributes.  Transitions not mentioned default to self-loops
     and observations not mentioned default to the null token.
 
     Systems are immutable; the rows of the step and observation tables are
@@ -248,9 +297,11 @@ class System:
         declaration order; `dom` lists each action's domain index; `step`
         and `obs` are the finished tables, a list of tuple rows each.  The
         tables are kept, not copied, so the caller must hold no other
-        reference to them.  Nothing is checked: `parse_system` is the one
-        caller, and its line loop has made every check the constructor
-        would.
+        reference to them.  Nothing is checked: each caller numbers its own
+        states and has made every check the constructor would.
+        `parse_system` checks each line as it reads it, `from_functions`
+        runs the constructor's checks on its names and tokens, and
+        `gen_random_system` draws only indices into tables it has built.
         """
         self = cls.__new__(cls)
         self._store(policy, initial, sidx, aidx, dom, step, obs)
@@ -272,40 +323,17 @@ class System:
         index, and the step and observation tables.
         """
         out: list[str] = []
-        for s in states:
-            if _bad_name(s):
-                out.append(f"bad state name {s!r}")
-        named = states
-        try:
-            sidx = {s: i for i, s in enumerate(named)}
-        except TypeError:  # an unhashable name, reported above as bad
-            named = [s for s in named if isinstance(s, str)]
-            sidx = {s: i for i, s in enumerate(named)}
-        if len(sidx) != len(named):
-            out.append("duplicate state declaration")
+        sidx = _index("state", states, out)
         if not states:
             out.append("no states declared")
         elif initial not in states:
             out.append(f"initial state {initial!r} is not declared")
-        actions = tuple(action_domain)
-        for a in actions:
-            if _bad_name(a):
-                out.append(f"bad action name {a!r}")
-        aidx = {a: i for i, a in enumerate(actions)}
-        if len(aidx) != len(actions):
-            out.append("duplicate action declaration")
+        aidx, dom = _check_actions(policy, action_domain, out)
         didx = policy._index
-        dom = []
-        for a in aidx:
-            d = action_domain[a]
-            try:
-                dom.append(didx[d])
-            except (KeyError, TypeError):  # an unhashable name is never a domain
-                out.append(f"action {a}: unknown domain {d!r}")
 
         # Default rows (self-loops, null observations), then one pass over
         # the declared entries, so no key tuple is built per table cell.
-        na, nd = len(actions), len(policy.domains)
+        na, nd = len(aidx), len(policy.domains)
         step = [[i] * na for i in range(len(states))]
         for key, t in transitions.items():
             if not (isinstance(key, tuple) and len(key) == 2):
@@ -337,12 +365,10 @@ class System:
                 out.append(f"observation for ({s}, {d}): unknown state")
             if di is None:
                 out.append(f"observation for ({s}, {d}): unknown domain")
-            if _bad_name(token):
-                out.append(f"observation for ({s}, {d}): bad token {token!r}")
+            _check_token(s, d, token, out)
             if not out:
                 obs[si][di] = token
-        if out:
-            raise InputError(f"invalid system: {out[0]}", out)
+        _reject(out)
         return sidx, aidx, dom, list(map(tuple, step)), list(map(tuple, obs))
 
     def _store(self, policy, initial, sidx, aidx, dom, step, obs) -> None:
@@ -442,23 +468,29 @@ class System:
         `step_fn(state, action_name)` and `obs_fn(state, domain_name)` work on
         opaque hashable state values; `name_fn` renders them as state names.
         Exploration is one breadth-first pass with actions in declaration
-        order that names each state as it is found and records each
-        transition, so the state numbering (and hence everything downstream)
-        is deterministic.  Raises `InputError` once more than `MAX_STATES`
-        states are found.  The policy, `actions` and `initial` are checked
-        before any state is explored.
+        order that numbers each state as it is found and writes each
+        explored state's step row as it goes, so the state numbering (and
+        hence everything downstream) is deterministic.  Raises `InputError`
+        once more than `MAX_STATES` states are found.  The policy, `actions`
+        and `initial` are checked before any state is explored, and the
+        state names and observation tokens once exploring is done; actions,
+        names and tokens are checked by the constructor's own code.  The
+        finished tables go to `_from_tables`, not through the constructor.
         """
         _check_kinds(policy, actions)
         try:
             index = {initial: 0}
         except TypeError:
             raise InputError(f"initial state {initial!r} is not hashable") from None
-        action_names = tuple(actions)
+        out: list[str] = []
+        aidx, dom = _check_actions(policy, actions, out)
+        _reject(out)
         order = [initial]  # also the BFS queue: the loop reaches appended states
         names = [name_fn(initial)]
-        transitions: dict[tuple[str, str], str] = {}
-        for i, s in enumerate(order):
-            for a in action_names:
+        step = []
+        for s in order:
+            row = []
+            for a in aidx:
                 t = step_fn(s, a)
                 try:
                     j = index.get(t)
@@ -471,17 +503,17 @@ class System:
                     j = index[t] = len(order)
                     order.append(t)
                     names.append(name_fn(t))
-                if j != i:
-                    transitions[(names[i], a)] = names[j]
-        if len(set(names)) != len(names):
+                row.append(j)
+            step.append(tuple(row))
+        sidx = _index("state", names, out)
+        if len(sidx) != len(names):  # the naming function's fault, not a declaration's
             raise InputError("state naming function produced duplicate names")
-        observations = {}
-        for s, name in zip(order, names):
-            for d in policy.domains:
-                token = obs_fn(s, d)
-                if token != NULL_OBS:
-                    observations[(name, d)] = token
-        return cls(policy, names, names[0], actions, transitions, observations)
+        obs = [tuple([obs_fn(s, d) for d in policy.domains]) for s in order]
+        for name, row in zip(names, obs):
+            for d, token in zip(policy.domains, row):
+                _check_token(name, d, token, out)
+        _reject(out)
+        return cls._from_tables(policy, names[0], sidx, aidx, dom, step, obs)
 
     def _canonical(self):
         return (

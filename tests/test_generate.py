@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import nicheck as nc
+from conftest import corpus_params
 
 #: sha256 of `serialize_system` of each built-in machine, and of the
 #: `augment_final` of two ("+final"), so that a change in how a fixture is
@@ -39,6 +40,30 @@ class TestGenRandomSystem:
         for seed in range(30):
             s = nc.gen_random_system(nc.GenParams(6, 4, 3, 3, 0.3, seed))
             assert nc.parse_system(nc.serialize_system(s)) == s
+
+    def test_matches_constructor_rebuild(self):
+        # The generator hands its drawn tables to `System._from_tables`
+        # unchecked; the constructor, which checks every declaration,
+        # accepts what its views declare and builds the same System.
+        corpus = [nc.GenParams(n, a, d, tokens, density, 4100 + i)
+                  for i, (n, a, d, tokens, density) in enumerate([
+                      (1, 1, 1, 1, 0.0), (5, 3, 3, 1, 1.0), (7, 2, 2, 1, 0.0),
+                      (6, 4, 3, 2, 0.0), (8, 3, 4, 3, 1.0), (1, 4, 2, 2, 0.5)])]
+        corpus += corpus_params(60, seed=17)
+        corpus += corpus_params(20, seed=18, obs_tokens=1)
+        for params in corpus:
+            s = nc.gen_random_system(params)
+            assert s == nc.System(s.policy, s.states, s.initial, s.action_domain,
+                                  s.transitions, s.observations)
+
+    def test_serialization_is_pinned(self):
+        text = nc.serialize_system(nc.gen_random_system(nc.GenParams(3, 2, 2, 2, 0.5, 1)))
+        assert text == (
+            "domain d0\ndomain d1\ninterferes d0 d1\naction a0 d0\naction a1 d1\n"
+            "state s0 init\nstate s1\nstate s2\ntrans s0 a1 s1\ntrans s2 a1 s1\n"
+            "obs s0 d0 o0\nobs s0 d1 o0\nobs s1 d0 o1\nobs s1 d1 o0\n"
+            "obs s2 d0 o1\nobs s2 d1 o1\n"
+        )
 
     def test_bad_params_rejected(self):
         with pytest.raises(nc.InputError):

@@ -451,7 +451,9 @@ class TestBadName:
 class TestTables:
     """`_step`, `_obs` and `_dom` hold exactly what each System was built
     from, over the defaults: the mappings passed to `System(...)`, or the
-    lines of a parsed text."""
+    lines of a parsed text.  A System built from tables it numbered itself
+    (`from_functions`, `gen_random_system`) is held to what its views
+    declare, which the constructor must rebuild into the same System."""
 
     @staticmethod
     def constructed():
@@ -532,12 +534,33 @@ class TestTables:
         monkeypatch.setattr(nc.System, "__init__", recording_init)
         systems = list(self.constructed())
         monkeypatch.undo()
-        # Every System is kept alive by `built`, so no two share an id.
-        assert {id(system) for system in systems} <= {id(entry[0]) for entry in built}
         for system, *declarations in built:
             self.check(system, *declarations)
+        # Every System is kept alive by `built` or `systems`, so no two
+        # share an id.
+        recorded = {id(entry[0]) for entry in built}
+        for system in systems:
+            if id(system) not in recorded:
+                declarations = (system.states, system.action_domain,
+                                system.transitions, system.observations)
+                assert nc.System(system.policy, system.states, system.initial,
+                                 *declarations[1:]) == system
+                self.check(system, *declarations)
         for text in self.texts():
             self.check(nc.parse_system(text), *self.declared(text))
+
+    def test_numbering_paths_skip_the_constructor(self, fig8, monkeypatch):
+        # Paths that number their own states hand finished tables to
+        # `_from_tables`; only names given as names go through `__init__`.
+        def refuse(*args, **kwargs):
+            raise AssertionError("System.__init__ called")
+
+        monkeypatch.setattr(nc.System, "__init__", refuse)
+        systems = [nc.fixture("pcp_demo"), nc.fixture("fig6"), nc.augment_final(fig8),
+                   nc.gen_random_system(nc.GenParams(40, 3, 3, 3, 0.4, 5))]
+        monkeypatch.undo()
+        for system in systems:
+            assert nc.parse_system(nc.serialize_system(system)) == system
 
     def test_every_path_stores_the_same_attributes(self, fig8):
         parsed = nc.parse_system(nc.serialize_system(fig8))
@@ -569,6 +592,44 @@ class TestFromFunctions:
                 lambda s, a: 1 - s, lambda s, d: "x", name_fn=lambda s: "same",
             )
 
+    # The exact message and diagnostics of each fault in the actions, the
+    # state names or the tokens; the unhashable-name case is tested below.
+    @pytest.mark.parametrize("actions, name_fn, obs_fn, message, diagnostics", [
+        ({"a": "A"}, lambda s: f"s {s}", lambda s, d: "x",
+         "invalid system: bad state name 's 0'",
+         ("bad state name 's 0'", "bad state name 's 1'")),
+        ({"a": "A"}, lambda s: s, lambda s, d: "x",
+         "invalid system: bad state name 0", ("bad state name 0", "bad state name 1")),
+        ({"a": "A"}, str, lambda s, d: "two words",
+         "invalid system: observation for (0, A): bad token 'two words'",
+         ("observation for (0, A): bad token 'two words'",
+          "observation for (1, A): bad token 'two words'")),
+        ({"a": "A"}, str, lambda s, d: ["x"],
+         "invalid system: observation for (0, A): bad token ['x']",
+         ("observation for (0, A): bad token ['x']",
+          "observation for (1, A): bad token ['x']")),
+        ({"a b": "A"}, str, lambda s, d: "x",
+         "invalid system: bad action name 'a b'", ("bad action name 'a b'",)),
+        ({"a": "A"}, lambda s: "same", lambda s, d: "x",
+         "state naming function produced duplicate names",
+         ("state naming function produced duplicate names",)),
+    ], ids=["spaced-name", "int-name", "two-word-token", "list-token", "action-name",
+            "duplicate-names"])
+    def test_diagnostics(self, actions, name_fn, obs_fn, message, diagnostics):
+        with pytest.raises(nc.InputError) as err:
+            nc.System.from_functions(nc.Policy(("A",)), actions, 0,
+                                     lambda s, a: 1 - s, obs_fn, name_fn=name_fn)
+        assert str(err.value) == message
+        assert err.value.diagnostics == diagnostics
+
+    def test_unhashable_state_name_is_an_input_error(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.System.from_functions(
+                nc.Policy(("A",)), {"a": "A"}, 0,
+                lambda s, a: 1 - s, lambda s, d: "x", name_fn=lambda s: [s],
+            )
+        assert "bad state name [0]" in err.value.diagnostics
+
     def test_unhashable_step_value_is_an_input_error(self):
         with pytest.raises(nc.InputError) as err:
             nc.System.from_functions(
@@ -591,7 +652,10 @@ class TestFromFunctions:
         (None, 5, 0, "actions must be a mapping, got 5"),
         (None, ["a"], 0, "actions must be a mapping, got ['a']"),
         (None, {"a": "A"}, [0], "initial state [0] is not hashable"),
-    ], ids=["policy", "int-actions", "list-actions", "unhashable-initial"])
+        (None, {"a": "Z"}, 0, "invalid system: action a: unknown domain 'Z'"),
+        (None, {"a#": "A"}, 0, "invalid system: bad action name 'a#'"),
+    ], ids=["policy", "int-actions", "list-actions", "unhashable-initial",
+            "unknown-domain", "bad-action-name"])
     def test_arguments_checked_before_exploring(self, policy, actions, initial, message):
         def step(s, a):
             raise AssertionError("explored before the arguments were checked")

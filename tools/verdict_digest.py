@@ -7,11 +7,12 @@ trees can be shown to give the same output.
 The corpus is the fixtures, the 500 random systems of
 `corpus_params(500, seed=2)`, 100 `_perturb` edits of each of fig5, fig6,
 fig7 and fig8 (seeded by the fixture's name, as in `tests/test_verify.py`),
-and `augment_final(fig8)`.  On each system it records the repr of the
-`decide_p`, `decide_ip` and `decide_ta` verdicts, of `check_witness_pair`
-on each insecure verdict's witness, of `exact_pair_check_p` and
-`exact_pair_check_ip`, and of `bounded_check` at depth 4 under ip, ta, to
-and ito.  Then, per domain, on 3 traces of length at most 8 drawn from a
+and `augment_final(fig8)`.  On each system it records its
+`serialize_system` text, so that a change in how a system is built shows
+too.  It then records the repr of the `decide_p`, `decide_ip` and
+`decide_ta` verdicts, of `check_witness_pair` on each insecure verdict's
+witness, of `exact_pair_check_p` and `exact_pair_check_ip`, and of
+`bounded_check` at depth 4 under ip, ta, to and ito.  Then, per domain, on 3 traces of length at most 8 drawn from a
 generator seeded by the system's position in the corpus, it records the
 repr of `view`, `tview`, `ftview`, `lpre` and of `trace_key` under p, ip,
 to and ito, and whether the ta keys of consecutive traces are the same
@@ -63,6 +64,7 @@ def _outcome(check, *args) -> str:
 
 
 def outcomes(system, seed: int):
+    yield nc.serialize_system(system)
     for notion, decide in DECIDERS.items():
         verdict = decide(system)
         yield repr(verdict)
