@@ -88,9 +88,10 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
 def _count_traces(n_actions: int, depth: int, budget: int) -> int:
     """Traces of length <= depth, counted exactly up to ten times `budget`;
     past that the count stops and is only a lower bound, still above budget.
-    With one action there is one trace per length, counted without a loop."""
-    if n_actions == 1:
-        return depth + 1
+    With one action there is one trace per length and with none only the
+    empty trace, both counted without a loop."""
+    if n_actions < 2:
+        return 1 + depth * n_actions
     total, layer = 1, 1
     for _ in range(depth):
         layer *= n_actions
@@ -129,29 +130,32 @@ def bounded_check(
     action, so a trace tuple is built only for a reported pair.  Every
     profile and last-level key interns its components in the one table the
     root profile made, so every key is one int at any depth, and the system
-    is left untouched.  A trace's key is computed and looked up only for
-    the domains its last action may interfere with (`System._moved`); every
-    other domain keeps its parent's key and, the parent having passed,
-    clashes exactly when its observation changed.  Only the checked
-    domains, those that observe at least two tokens over the reachable
-    states (`_observing`, the test the deciders use too), have key
-    tables, key lookups or observation comparisons: every trace ends in a
-    reachable state, so a domain with one token in every such state sees
-    that token at the end of every trace, none of its key classes holds a
-    violation, and skipping it leaves the first violation as it was.  The
-    profiles still step every domain's key, because an unchecked actor's
-    keys feed the checked ones.  The scan builds no reference cycle and runs
-    with the cyclic garbage collector paused (`gc_paused`); everything it
-    built is freed before the collector is switched back on.  `depth` and
-    `budget` must be ints, not bools, or `InputError` is raised.
+    is left untouched.  Each trace's checked domains are judged in one
+    pass in index order, so the lowest-index domain that clashes is the one
+    reported.  A key is computed and looked up only for the domains the
+    trace's last action may interfere with (`System._moved`); every other
+    domain keeps its parent's key and, the parent having passed, clashes
+    exactly when its observation changed, so it is looked up only to report
+    that clash.  Only the checked domains, those that observe at least two
+    tokens over the reachable states (`_observing`, the test the deciders
+    use too), have key tables, key lookups or observation comparisons:
+    every trace ends in a reachable state, so a domain with one token in
+    every such state sees that token at the end of every trace, none of its
+    key classes holds a violation, and skipping it leaves the first
+    violation as it was.  The profiles still step every domain's key,
+    because an unchecked actor's keys feed the checked ones.  A machine
+    without actions has only the empty trace, and the scan stops at the
+    first empty level, whatever the depth.  The scan builds no reference
+    cycle and runs with the cyclic garbage collector paused (`gc_paused`);
+    everything it built is freed before the collector is switched back on.
+    `depth` and `budget` must be ints, not bools, or `InputError` is raised.
     """
     child_keys = _lookup(CHILD_KEYS, notion, "security notion")
     _int_of(depth, "depth")
     _int_of(budget, "budget")
     if depth < 0:
         raise InputError(f"depth must be non-negative, got {depth}")
-    n_actions = len(system.actions)
-    total = _count_traces(n_actions, depth, budget) if n_actions else 1
+    total = _count_traces(len(system.actions), depth, budget)
     if total > budget:
         raise BudgetError(
             f"bounded check would enumerate at least {total} traces "
@@ -163,72 +167,63 @@ def bounded_check(
         return _scan(system, notion, child_keys, depth)
 
 
-def _representative(entry: tuple) -> tuple:
-    """The trace a key-table entry (token, prefix, action) stands for: the
-    prefix extended by the action, or the prefix alone when it is None."""
-    _, prefix, action = entry
-    return prefix if action is None else prefix + (action,)
-
-
 def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict:
     """The trace enumeration of `bounded_check`, once its arguments are checked."""
     domains = system.policy.domains
-    nd = len(domains)
     obs, step = system._obs, system._step
     # A domain that observes one token in every reachable state never tells
     # two traces apart, so only the others are keyed and looked up.
     checked = [u for u, seen in enumerate(_observing(system)) if seen]
-    # Per action: the checked domains whose key it may change and those whose
-    # key it leaves as the parent's.
-    moves = [(ai, action, [u for u in checked if u in moved],
-              [u for u in checked if u not in moved])
-             for ai, (action, moved) in enumerate(zip(system.actions, system._moved))]
+    # Per action: its name as a one-action trace, the checked domains whose
+    # key it may change (`keyed`), and every checked domain in index order
+    # with its position in `keyed`, or -1 when it keeps the parent's key.
+    moves = []
+    for ai, (action, moved) in enumerate(zip(system.actions, system._moved)):
+        keyed = [u for u in checked if u in moved]
+        plan = [(u, keyed.index(u) if u in keyed else -1) for u in checked]
+        moves.append((ai, (action,), keyed, plan))
 
     root = TraceProfile.start(system, notion)
     tokens = obs[root.state]
-    # key -> (observation, parent's trace, action); one table per domain.  The
-    # representative trace is built from the entry only for a reported pair.
-    seen: list[dict] = [{} for _ in range(nd)]
+    # key -> (observation, parent's trace, last action as a tuple); one table
+    # per domain.  A trace tuple is built only for a reported pair.
+    seen: list[dict] = [{} for _ in domains]
     for u in checked:
-        seen[u][root.key(u)] = (tokens[u], (), None)
+        seen[u][root.key(u)] = (tokens[u], (), ())
     frontier = [root]
     for length in range(1, depth + 1):
+        if not frontier:
+            break
         last = length == depth
         level = []
         for parent in frontier:
             prefix = parent.trace
             before = obs[parent.state]
             targets = step[parent.state]
-            for ai, action, moved, unmoved in moves:
+            for ai, tail, keyed, plan in moves:
                 after = obs[targets[ai]]
-                # An unmoved domain keeps the parent's key, whose table entry
-                # carries the parent's token (the parent passed its check), so
-                # it clashes exactly when its token changed.
-                stop = nd
-                if after != before:
-                    for u in unmoved:
-                        if after[u] != before[u]:
-                            stop = u
-                            break
                 if last:
-                    keys = child_keys(parent, ai, moved, after)
+                    keys = child_keys(parent, ai, keyed, after)
                 else:
                     child = parent.step(ai)
                     level.append(child)
-                    keys = [child.key(u) for u in moved]
-                for u, k in zip(moved, keys):
-                    if u > stop:
-                        break
-                    prior = seen[u].get(k)
-                    if prior is None:
-                        seen[u][k] = (after[u], prefix, action)
-                    elif prior[0] != after[u]:
-                        return BoundedVerdict(True, None, domains[u],
-                                              _representative(prior), prefix + (action,))
-                if stop < nd:
-                    prior = seen[stop][parent.key(stop)]
-                    return BoundedVerdict(True, None, domains[stop],
-                                          _representative(prior), prefix + (action,))
+                    keys = [child.key(u) for u in keyed]
+                for u, i in plan:
+                    if i < 0:
+                        # The parent's key, whose entry carries the parent's
+                        # token (the parent passed), so only a new token clashes.
+                        if after[u] == before[u]:
+                            continue
+                        prior = seen[u][parent.keys[u]]
+                    else:
+                        prior = seen[u].get(keys[i])
+                        if prior is None:
+                            seen[u][keys[i]] = (after[u], prefix, tail)
+                            continue
+                        if prior[0] == after[u]:
+                            continue
+                    return BoundedVerdict(True, None, domains[u],
+                                          prior[1] + prior[2], prefix + tail)
         frontier = level
     return BoundedVerdict(False, depth)
 

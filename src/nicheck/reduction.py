@@ -221,7 +221,10 @@ def augment_final(system: System) -> System:
 
     A domain's first final action freezes its observation to the null token
     and makes the system ignore all its later actions.  State tracks the set
-    of domains that have gone final.  Built over the reachable part only.
+    of domains that have gone final, and is named by the original state's
+    name, "|", and those domains in declaration order joined by "+", each
+    with "%", "+" and "|" escaped percent-style, so that distinct states get
+    distinct names.  Built over the reachable part only.
     """
     finals = {a + FINAL_SUFFIX: a for a in system.actions}
     clash = set(finals) & set(system.actions)
@@ -252,10 +255,13 @@ def augment_final(system: System) -> System:
             return NULL_OBS
         return obs_tab[base][didx[domain]]
 
+    marks = {d: d.replace("%", "%25").replace("+", "%2B").replace("|", "%7C")
+             for d in domains}
+
     def name(s) -> str:
         base, done = s
-        marks = "+".join(d for d in domains if d in done)
-        return f"{system.states[base]}|{marks}"
+        joined = "+".join(marks[d] for d in domains if d in done)
+        return f"{system.states[base]}|{joined}"
 
     initial = (system.state_index(system.initial), frozenset())
     return System.from_functions(system.policy, actions, initial, step, obs, name)

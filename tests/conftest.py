@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -164,3 +165,23 @@ def collector(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test with `TimeoutError` if it runs longer than five seconds,
+    so that a loop that would never end fails instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its five-second deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture(scope="session")
+def actionless():
+    """A machine without actions: its one trace is the empty one."""
+    return nc.System(nc.Policy(("H", "L")), ("s0",), "s0", {}, {}, {("s0", "L"): "1"})

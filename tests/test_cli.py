@@ -84,6 +84,13 @@ class TestBounded:
         ) == 2
         assert json.loads(capsys.readouterr().out)["no_violation_up_to"] == 5
 
+    def test_actionless_machine_exits_two_at_once(self, tmp_path, capsys,
+                                                  actionless, deadline):
+        path = tmp_path / "actionless.ni"
+        path.write_text(nc.serialize_system(actionless), encoding="utf-8")
+        assert main(["bounded", "--notion", "to", "--depth", str(10 ** 18), str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["no_violation_up_to"] == 10 ** 18
+
     def test_negative_depth_exits_three(self, tmp_path, capsys):
         assert main(
             ["bounded", "--notion", "p", "--depth", "-3", write_fixture(tmp_path, "fig5")]

@@ -10,6 +10,7 @@ import pytest
 import nicheck as nc
 import reference_scan
 from conftest import corpus_params, hidden_bit_system, random_trace
+from test_verify import _perturb
 from nicheck import semantics
 from nicheck.semantics import CHILD_KEYS, TraceProfile
 
@@ -83,6 +84,13 @@ class TestBoundedCheck:
         with pytest.raises(nc.BudgetError) as err:
             nc.bounded_check(one, "p", 10 ** 9)
         assert err.value.trace_count == 10 ** 9 + 1
+
+    def test_actionless_machine_stops_at_the_empty_level(self, actionless, deadline):
+        # Only the empty trace exists, so neither the count nor the scan
+        # walks the depth (at 10^18 levels either would never end).
+        for notion in nc.NOTIONS:
+            assert nc.bounded_check(actionless, notion, 10 ** 18) == \
+                nc.BoundedVerdict(False, 10 ** 18)
 
     def test_negative_depth_rejected(self, fig5):
         with pytest.raises(nc.InputError):
@@ -227,6 +235,25 @@ class TestFrontierScanIdentity:
         # pinned too.
         digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
         assert digest == "e8d457714589daaae02c65b79232eb705117f6561ac89acaaff0a3a5d738cd32"
+
+    def test_perturbations_equal_reference_scan(self):
+        # The reference judges every domain in index order, so a scan that
+        # judged the domains the last action moves before the others would
+        # report another pair on some of these edits (fig7's edit 17 under
+        # `to`: H with ('h',)/('h', 'd') in the reference, L with
+        # ('d',)/('h', 'd') under that order).
+        checks = insecure = 0
+        for name in ("fig5", "fig6", "fig7", "fig8"):
+            rng = random.Random(name)
+            base = nc.fixture(name)
+            for s in [_perturb(base, rng) for _ in range(100)]:
+                for notion in ("ip", "ta", "to", "ito"):
+                    got = nc.bounded_check(s, notion, 4)
+                    want = reference_scan.bounded_check(s, notion, 4)
+                    assert repr(got) == repr(want), (name, notion)
+                    checks += 1
+                    insecure += got.insecure
+        assert checks == 1600 and insecure >= 1000
 
     def test_violations_on_the_last_level_equal_reference_scan(self, delayed_leak):
         # Rerun every violation at the length of its later trace, so that

@@ -200,6 +200,29 @@ class TestAugmentFinal:
                 assert finished == expected
                 assert base_part == nc.run(base, base.initial, nc.convertback(aug, alpha))
 
+    def test_marks_of_domains_named_with_separators_stay_distinct(self):
+        # Unescaped, "a" and "b" gone final mark "a+b" as the domain "a+b"
+        # does, "a+b" marks "a%2Bb" as that domain does, and state "s0"
+        # with "b|" gone final reads "s0|b|" as state "s0|b" with none.
+        domains = ("a", "b", "a+b", "a%2Bb", "b|")
+        acts = {f"x{i}": d for i, d in enumerate(domains)}
+        base = nc.System(nc.Policy(domains, (("a", "b|"),)), ("s0", "s0|b"), "s0", acts,
+                         {("s0", "x0"): "s0|b", ("s0|b", "x1"): "s0"},
+                         {("s0|b", "b|"): "1", ("s0|b", "a+b"): "2"})
+        aug = nc.augment_final(base)
+        assert {"s0|a+b", "s0|a%2Bb", "s0|a%252Bb", "s0|b%7C", "s0|b|"} <= set(aug.states)
+        back = nc.parse_system(nc.serialize_system(aug))
+        assert back == aug
+        unescape = {"a": "a", "b": "b", "a%2Bb": "a+b", "a%252Bb": "a%2Bb", "b%7C": "b|"}
+        rng = random.Random(5)
+        for _ in range(300):
+            alpha = random_trace(rng, aug, 8)
+            name = nc.run(back, back.initial, alpha)
+            base_part, _, marks = name.rpartition("|")
+            finished = {unescape[m] for m in marks.split("+") if m}
+            assert finished == {aug.action_domain[a] for a in alpha if a in aug.final_action_base}
+            assert base_part == nc.run(base, base.initial, nc.convertback(back, alpha))
+
 
 class TestConvertback:
     def test_without_final_actions_it_is_the_identity(self, fig8):
