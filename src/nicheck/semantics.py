@@ -268,8 +268,9 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # purge_u, ipurge_u with its position mask, and the trees move only where
 # the policy row of the acting domain holds u.  So every other domain keeps
 # its parent's key, and `bounded_check` judges those domains by their
-# observation alone, with no key lookup, on the strength of this.  `moved` may be any subset of `System._moved[ai]`: `step` passes
-# all of it, and the scan's last level only the domains it checks.
+# observation alone, with no key lookup, on the strength of this.  `moved`
+# may be any subset of `System._moved[ai]`: `step` passes all of it, and
+# the scan's last level only the domains it checks.
 
 
 def _child_p(profile, ai, moved, after):

@@ -3,14 +3,15 @@
 Each mutant replaces one exact anchor text in one source file and names the
 test files (or test node ids) that must fail on it.
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME ...   # only these
+    python3 tests/mutants.py
 
 The runner copies `src` and `tests` to a temporary directory, applies one
 mutant at a time there, runs its targets with `pytest -x`, and prints
-"killed" or "SURVIVED" for each.  It exits 1 if any mutant survives and 2
-if an anchor does not occur exactly once; the working tree is never
-written.  `tests/test_mutants.py` checks every anchor in tier-1, so a change
+"killed" or "SURVIVED" for each.  A mutant is killed only when its targets
+ran and failed (pytest exit 1) or hung past `TIMEOUT_S`.  The runner exits
+1 if any mutant survives, and 2 if an anchor does not occur exactly once or
+pytest ends in any other way (a collection error, a node id that no longer
+exists, no tests collected); the working tree is never written.  `tests/test_mutants.py` checks every anchor in tier-1, so a change
 that moves the code must update this catalogue rather than lose a mutant.
 """
 
@@ -76,9 +77,9 @@ MUTANTS = (
 )
 
 
-def _run(mutant: Mutant, work: Path) -> bool:
-    """Apply `mutant` in `work`, run its targets, put the file back; True
-    when the targets fail."""
+def _run(mutant: Mutant, work: Path) -> int:
+    """Apply `mutant` in `work`, run its targets, put the file back, and
+    return pytest's exit code (1 when a hang hit the timeout)."""
     path = work / mutant.file
     original = path.read_text(encoding="utf-8")
     path.write_text(original.replace(mutant.anchor, mutant.replacement), encoding="utf-8")
@@ -90,19 +91,14 @@ def _run(mutant: Mutant, work: Path) -> bool:
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return True  # the targets never passed
+        return 1  # the targets never passed
     finally:
         path.write_text(original, encoding="utf-8")
-    return done.returncode != 0
+    return done.returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    for m in chosen:
+def main() -> int:
+    for m in MUTANTS:
         count = (ROOT / m.file).read_text(encoding="utf-8").count(m.anchor)
         if count != 1:
             print(f"{m.name}: anchor occurs {count} times in {m.file}", file=sys.stderr)
@@ -113,12 +109,15 @@ def main(names: list[str]) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        for m in chosen:
-            killed = _run(m, work)
-            survived += not killed
-            print(f"{'killed' if killed else 'SURVIVED':8}  {m.name}", flush=True)
+        for m in MUTANTS:
+            code = _run(m, work)
+            if code not in (0, 1):
+                print(f"{m.name}: pytest exited {code}", file=sys.stderr)
+                return 2
+            survived += code == 0
+            print(f"{'killed' if code else 'SURVIVED':8}  {m.name}", flush=True)
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

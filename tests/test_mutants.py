@@ -1,5 +1,9 @@
 """The committed mutant catalogue (`tests/mutants.py`) still fits the source:
-every anchor occurs exactly once, so each mutant still mutates something."""
+every anchor occurs exactly once, so each mutant still mutates something,
+and every target still names a test that pytest collects."""
+
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -15,4 +19,9 @@ def test_anchor_occurs_once(mutant):
     assert mutant.anchor != mutant.replacement
     assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.anchor) == 1
     for target in mutant.targets:
-        assert (ROOT / target.partition("::")[0]).is_file(), target
+        file, *names = target.split("::")
+        assert (ROOT / file).is_file(), target
+        obj = importlib.import_module(Path(file).stem)
+        for name in names:
+            obj = getattr(obj, name, None)
+            assert obj is not None, target
