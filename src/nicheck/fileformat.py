@@ -13,10 +13,10 @@ emits a canonical form that omits exactly those defaults, so parse and
 serialize are mutually inverse up to comments and ordering.
 
 `parse_system` reads the file in one pass.  It numbers each state, action
-and domain as it is declared and resolves the names of each `trans` and
-`obs` line with the same dict lookups that check them, writing the cell
-straight into that state's table row.  The System is built from these
-finished tables without checking any name a second time.
+and domain as it is declared and writes the cell of each `trans` and `obs`
+line, found by the dict lookups that check its names, straight into that
+state's table row; a line that finds its cell set is a duplicate.  The
+System is built from these tables without checking a name again.
 """
 
 from __future__ import annotations
@@ -54,14 +54,18 @@ def parse_system(text: str) -> System:
     dom: list[int] = []
     states: dict[str, int] = {}
     initial: str | None = None
-    # The (state, action) and (state, domain) pairs declared so far, kept
-    # only to report a second declaration of one.
+    # The (state, action) and (state, domain) pairs of the lines that named
+    # an unknown state, action or domain, kept only to report a second
+    # declaration of one once its names are known; a file without such
+    # lines leaves both empty.
     transitions: set[tuple[str, str]] = set()
     observations: set[tuple[str, str]] = set()
     # One row per state, one cell per action (the target's index) and per
-    # domain (the token); a row holds the defaults until a line sets a cell.
+    # domain (the token).  A cell is unset (-1, None) until a line sets it;
+    # a line whose target is unknown sets it to -2, so that a second line
+    # for the cell is still a duplicate.
     step: list[list[int]] = []
-    obs: list[list[str]] = []
+    obs: list[list[str | None]] = []
     diags: list[str] = []
 
     # One flat loop, its branches in order of how often a file uses them.
@@ -77,19 +81,24 @@ def parse_system(text: str) -> System:
                 continue
             _, s, a, t = fields
             si, ti, ai = states.get(s), states.get(t), aidx.get(a)
-            if si is None or ti is None or ai is None:
+            if si is None or ai is None:
                 if si is None:
                     diags.append(f"line {lineno}: unknown state {s!r}")
                 if ti is None:
                     diags.append(f"line {lineno}: unknown state {t!r}")
                 if ai is None:
                     diags.append(f"line {lineno}: unknown action {a!r}")
-            else:
-                step[si][ai] = ti
-            key = (s, a)
-            if key in transitions:
+                if (s, a) in transitions:
+                    diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
+                transitions.add((s, a))
+                continue
+            if ti is None:
+                diags.append(f"line {lineno}: unknown state {t!r}")
+                ti = -2
+            row = step[si]
+            if row[ai] != -1 or transitions and (s, a) in transitions:
                 diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
-            transitions.add(key)
+            row[ai] = ti
         elif kind == "obs":
             if len(fields) != 4:
                 diags.append(f"line {lineno}: 'obs' takes 3 arguments")
@@ -101,12 +110,14 @@ def parse_system(text: str) -> System:
                     diags.append(f"line {lineno}: unknown state {s!r}")
                 if di is None:
                     diags.append(f"line {lineno}: unknown domain {d!r}")
-            else:
-                obs[si][di] = token
-            key = (s, d)
-            if key in observations:
+                if (s, d) in observations:
+                    diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
+                observations.add((s, d))
+                continue
+            row = obs[si]
+            if row[di] is not None or observations and (s, d) in observations:
                 diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
-            observations.add(key)
+            row[di] = token
         elif kind == "state":
             n = len(fields)
             if n == 2 or (n == 3 and fields[2] == "init"):
@@ -115,8 +126,8 @@ def parse_system(text: str) -> System:
                     diags.append(f"line {lineno}: duplicate state {name!r}")
                     continue
                 si = states[name] = len(states)
-                step.append([si] * len(aidx))
-                obs.append([NULL_OBS] * len(domains))
+                step.append([-1] * len(aidx))
+                obs.append([None] * len(domains))
                 if n == 3:
                     if initial is not None:
                         diags.append(f"line {lineno}: multiple initial states")
@@ -136,9 +147,9 @@ def parse_system(text: str) -> System:
             else:
                 aidx[name] = len(dom)
                 dom.append(di)
-                # Widen the rows of the states declared before: a self-loop.
-                for si, row in enumerate(step):
-                    row.append(si)
+                # Widen the rows of the states declared before, unset.
+                for row in step:
+                    row.append(-1)
         elif kind == "domain":
             if len(fields) != 2:
                 diags.append(f"line {lineno}: 'domain' takes 1 arguments")
@@ -149,7 +160,7 @@ def parse_system(text: str) -> System:
             else:
                 domains[name] = len(domains)
                 for row in obs:
-                    row.append(NULL_OBS)
+                    row.append(None)
         elif kind == "interferes":
             if len(fields) != 3:
                 diags.append(f"line {lineno}: 'interferes' takes 2 arguments")
@@ -174,9 +185,12 @@ def parse_system(text: str) -> System:
 
     # Every name the tables hold was split out by `str.split` and checked
     # against the declarations above, so `System` need not check it again.
+    # A cell no line set takes its default: a self-loop, the null token.
     return System._from_tables(
         Policy(domains, edges), initial, states, aidx, dom,
-        list(map(tuple, step)), list(map(tuple, obs)),
+        [tuple([si if t == -1 else t for t in row]) if -1 in row else tuple(row)
+         for si, row in enumerate(step)],
+        [tuple([NULL_OBS if o is None else o for o in row]) for row in obs],
     )
 
 

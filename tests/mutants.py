@@ -74,6 +74,41 @@ MUTANTS = (
         "{d: d",
         ("tests/test_reduction.py",),
     ),
+    Mutant(
+        "parser finds a duplicate transition only in the name-pair set",
+        "src/nicheck/fileformat.py",
+        "if row[ai] != -1 or transitions and (s, a) in transitions:",
+        "if transitions and (s, a) in transitions:",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser leaves the cell of an unknown target unset",
+        "src/nicheck/fileformat.py",
+        "ti = -2",
+        "ti = -1",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser finds a duplicate transition only in its cell",
+        "src/nicheck/fileformat.py",
+        "if row[ai] != -1 or transitions and (s, a) in transitions:",
+        "if row[ai] != -1:",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser finds a duplicate observation only in the name-pair set",
+        "src/nicheck/fileformat.py",
+        "if row[di] is not None or observations and (s, d) in observations:",
+        "if observations and (s, d) in observations:",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser finds a duplicate observation only in its cell",
+        "src/nicheck/fileformat.py",
+        "if row[di] is not None or observations and (s, d) in observations:",
+        "if row[di] is not None:",
+        ("tests/test_fileformat.py",),
+    ),
 )
 
 

@@ -104,6 +104,56 @@ class TestParse:
         ]
         assert str(err.value) == "cannot parse system: line 6: unknown state 's1'"
 
+    def test_duplicates_found_through_unset_cells_and_early_names(self):
+        # Each duplicate below is found another way: a cell an unknown
+        # target marked (line 6), a name used before and after its
+        # declaration (lines 10, 11, 14, 22), a cell of a row widened by a
+        # later `action` or `domain` line (17, 24), and an explicit null
+        # token, which is still a set cell (19).
+        text = (
+            "domain H\n"
+            "domain L\n"
+            "action h H\n"
+            "state s0 init\n"
+            "trans s0 h t\n"
+            "trans s0 h s0\n"
+            "trans X h s0\n"
+            "obs X L 1\n"
+            "state X\n"
+            "trans X h s0\n"
+            "obs X L 2\n"
+            "trans s0 late X\n"
+            "action late L\n"
+            "trans s0 late s0\n"
+            "action l L\n"
+            "trans X l s0\n"
+            "trans X l X\n"
+            "obs s0 L _\n"
+            "obs s0 L _\n"
+            "obs s0 M 1\n"
+            "domain M\n"
+            "obs s0 M 2\n"
+            "obs X M 1\n"
+            "obs X M 1\n"
+        )
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text)
+        assert list(err.value.diagnostics) == [
+            "line 5: unknown state 't'",
+            "line 6: duplicate transition for (s0, h)",
+            "line 7: unknown state 'X'",
+            "line 8: unknown state 'X'",
+            "line 10: duplicate transition for (X, h)",
+            "line 11: duplicate observation for (X, L)",
+            "line 12: unknown action 'late'",
+            "line 14: duplicate transition for (s0, late)",
+            "line 17: duplicate transition for (X, l)",
+            "line 19: duplicate observation for (s0, L)",
+            "line 20: unknown domain 'M'",
+            "line 22: duplicate observation for (s0, M)",
+            "line 24: duplicate observation for (X, M)",
+        ]
+
     def test_parse_is_linear_in_lines(self):
         # 20 000 states, 160 000 lines: a parser that scans the earlier state
         # declarations on each line is quadratic and far exceeds the bound.
@@ -127,6 +177,19 @@ class TestParse:
             tracemalloc.stop()
         assert {"transitions", "observations", "action_domain"}.isdisjoint(vars(system))
         assert retained < 2_500_000, f"a parsed 3k-state System keeps {retained} bytes"
+
+    def test_parse_peak_stays_near_its_tables(self):
+        # The same 3 000-state file: the tables, the file's lines and the
+        # field lists of one line peak at about 2.5 MB.  A (name, name) key
+        # per `trans`/`obs` line, kept to catch duplicates, adds 3.3 MB.
+        text = nc.serialize_system(nc.gen_random_system(nc.GenParams(3000, 6, 3, 1, 0.3, 1)))
+        tracemalloc.start()
+        try:
+            nc.parse_system(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"parsing a 3k-state file peaks at {peak} bytes"
 
     def test_form_feed_in_a_comment_neither_ends_it_nor_shifts_lines(self):
         with pytest.raises(nc.InputError) as err:
