@@ -60,12 +60,15 @@ def parse_system(text: str) -> System:
     # lines leaves both empty.
     transitions: set[tuple[str, str]] = set()
     observations: set[tuple[str, str]] = set()
-    # One row per state, one cell per action (the target's index) and per
-    # domain (the token).  A cell is unset (-1, None) until a line sets it;
-    # a line whose target is unknown sets it to -2, so that a second line
-    # for the cell is still a duplicate.
+    # One row per state, one cell per action: the target's index, unset
+    # (-1) until a line sets it.  A line whose target is unknown sets it to
+    # -2, so that a second line for the cell is still a duplicate.
     step: list[list[int]] = []
-    obs: list[list[str | None]] = []
+    # One entry per state: None until the state's first `obs` line makes its
+    # row, one cell per domain (the token, None while unset).  Most states
+    # of most files have no `obs` line, so most states never get a row and
+    # share one null row at the end.
+    obs: list[list[str | None] | None] = []
     diags: list[str] = []
 
     # One flat loop, its branches in order of how often a file uses them.
@@ -76,34 +79,42 @@ def parse_system(text: str) -> System:
             continue
         kind = fields[0]
         if kind == "trans":
-            if len(fields) != 4:
+            # Unpacking checks the field count without a `len` call on the
+            # most frequent line.
+            try:
+                _, s, a, t = fields
+            except ValueError:
                 diags.append(f"line {lineno}: 'trans' takes 3 arguments")
                 continue
-            _, s, a, t = fields
-            si, ti, ai = states.get(s), states.get(t), aidx.get(a)
-            if si is None or ai is None:
-                if si is None:
-                    diags.append(f"line {lineno}: unknown state {s!r}")
-                if ti is None:
-                    diags.append(f"line {lineno}: unknown state {t!r}")
-                if ai is None:
-                    diags.append(f"line {lineno}: unknown action {a!r}")
-                if (s, a) in transitions:
-                    diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
-                transitions.add((s, a))
-                continue
-            if ti is None:
+            # Subscripts cost less than `.get` calls; a line with an
+            # unknown name leaves by the KeyError, which looks each up again.
+            try:
+                row, ai, ti = step[states[s]], aidx[a], states[t]
+            except KeyError:
+                si, ti, ai = states.get(s), states.get(t), aidx.get(a)
+                if si is None or ai is None:
+                    if si is None:
+                        diags.append(f"line {lineno}: unknown state {s!r}")
+                    if ti is None:
+                        diags.append(f"line {lineno}: unknown state {t!r}")
+                    if ai is None:
+                        diags.append(f"line {lineno}: unknown action {a!r}")
+                    if (s, a) in transitions:
+                        diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
+                    transitions.add((s, a))
+                    continue
                 diags.append(f"line {lineno}: unknown state {t!r}")
+                row = step[si]
                 ti = -2
-            row = step[si]
             if row[ai] != -1 or transitions and (s, a) in transitions:
                 diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
             row[ai] = ti
         elif kind == "obs":
-            if len(fields) != 4:
+            try:
+                _, s, d, token = fields
+            except ValueError:
                 diags.append(f"line {lineno}: 'obs' takes 3 arguments")
                 continue
-            _, s, d, token = fields
             si, di = states.get(s), domains.get(d)
             if si is None or di is None:
                 if si is None:
@@ -115,6 +126,8 @@ def parse_system(text: str) -> System:
                 observations.add((s, d))
                 continue
             row = obs[si]
+            if row is None:
+                row = obs[si] = [None] * len(domains)
             if row[di] is not None or observations and (s, d) in observations:
                 diags.append(f"line {lineno}: duplicate observation for ({s}, {d})")
             row[di] = token
@@ -127,7 +140,7 @@ def parse_system(text: str) -> System:
                     continue
                 si = states[name] = len(states)
                 step.append([-1] * len(aidx))
-                obs.append([None] * len(domains))
+                obs.append(None)
                 if n == 3:
                     if initial is not None:
                         diags.append(f"line {lineno}: multiple initial states")
@@ -159,8 +172,10 @@ def parse_system(text: str) -> System:
                 diags.append(f"line {lineno}: duplicate domain {name!r}")
             else:
                 domains[name] = len(domains)
+                # Widen the rows that exist; a state with none stays None.
                 for row in obs:
-                    row.append(None)
+                    if row is not None:
+                        row.append(None)
         elif kind == "interferes":
             if len(fields) != 3:
                 diags.append(f"line {lineno}: 'interferes' takes 2 arguments")
@@ -186,11 +201,14 @@ def parse_system(text: str) -> System:
     # Every name the tables hold was split out by `str.split` and checked
     # against the declarations above, so `System` need not check it again.
     # A cell no line set takes its default: a self-loop, the null token.
+    # Every state without an observation row shares one row of null tokens.
+    null = (NULL_OBS,) * len(domains)
     return System._from_tables(
         Policy(domains, edges), initial, states, aidx, dom,
         [tuple([si if t == -1 else t for t in row]) if -1 in row else tuple(row)
          for si, row in enumerate(step)],
-        [tuple([NULL_OBS if o is None else o for o in row]) for row in obs],
+        [null if row is None else tuple([NULL_OBS if o is None else o for o in row])
+         for row in obs],
     )
 
 

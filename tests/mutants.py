@@ -109,6 +109,55 @@ MUTANTS = (
         "if row[di] is not None:",
         ("tests/test_fileformat.py",),
     ),
+    Mutant(
+        "parser widens the observation rows still unmade",
+        "src/nicheck/fileformat.py",
+        "for row in obs:\n                    if row is not None:\n                        row.append(None)",
+        "obs[:] = [[None] * len(domains) if row is None else row + [None] for row in obs]",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser does not widen the observation rows made",
+        "src/nicheck/fileformat.py",
+        "row.append(None)",
+        "pass",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser's shared null row is one cell short",
+        "src/nicheck/fileformat.py",
+        "null = (NULL_OBS,) * len(domains)",
+        "null = (NULL_OBS,) * (len(domains) - 1)",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "parser goes on after a 'trans' line of the wrong arity",
+        "src/nicheck/fileformat.py",
+        "'trans' takes 3 arguments\")\n                continue",
+        "'trans' takes 3 arguments\")",
+        ("tests/test_fileformat.py::TestParse::test_arity_diagnostics_of_every_keyword",),
+    ),
+    Mutant(
+        "parser goes on after an 'obs' line of the wrong arity",
+        "src/nicheck/fileformat.py",
+        "'obs' takes 3 arguments\")\n                continue",
+        "'obs' takes 3 arguments\")",
+        ("tests/test_fileformat.py::TestParse::test_arity_diagnostics_of_every_keyword",),
+    ),
+    Mutant(
+        "parser does not widen the step rows for a late action",
+        "src/nicheck/fileformat.py",
+        "row.append(-1)",
+        "pass",
+        ("tests/test_fileformat.py",),
+    ),
+    Mutant(
+        "constructor drops its observation cell",
+        "src/nicheck/system.py",
+        "obs[si][di] = token",
+        "pass",
+        ("tests/test_system.py",),
+    ),
 )
 
 

@@ -154,6 +154,73 @@ class TestParse:
             "line 24: duplicate observation for (X, M)",
         ]
 
+    def test_arity_diagnostics_of_every_keyword(self):
+        # Each keyword gets a line with too few fields and one with too
+        # many, after a valid line of its kind, so that a bad line which
+        # went on would reuse the fields of the line before it.
+        valid = [
+            "domain H", "domain L", "interferes H L", "action h H", "action l L",
+            "state s0 init", "state s1", "trans s0 h s1", "trans s1 l s0",
+            "obs s0 L 0", "obs s1 L 1",
+        ]
+        text = (
+            "domain H\n"
+            "domain\n"
+            "domain L M\n"
+            "domain L\n"
+            "interferes H L\n"
+            "interferes H\n"
+            "interferes H L L\n"
+            "action h H\n"
+            "action l\n"
+            "action l L h\n"
+            "action l L\n"
+            "state s0 init\n"
+            "state\n"
+            "state s1 init now\n"
+            "state s1\n"
+            "trans s0 h s1\n"
+            "trans\n"
+            "trans s0 h\n"
+            "trans s0 h s1 s1\n"
+            "trans s1 l s0\n"
+            "obs s0 L 0\n"
+            "obs s0 L\n"
+            "obs s0 L 0 0\n"
+            "obs s1 L 1\n"
+        )
+        assert [line for line in text.splitlines() if line in valid] == valid
+        nc.parse_system("\n".join(valid))
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text)
+        assert list(err.value.diagnostics) == [
+            "line 2: 'domain' takes 1 arguments",
+            "line 3: 'domain' takes 1 arguments",
+            "line 6: 'interferes' takes 2 arguments",
+            "line 7: 'interferes' takes 2 arguments",
+            "line 9: 'action' takes 2 arguments",
+            "line 10: 'action' takes 2 arguments",
+            "line 13: expected 'state NAME [init]'",
+            "line 14: expected 'state NAME [init]'",
+            "line 17: 'trans' takes 3 arguments",
+            "line 18: 'trans' takes 3 arguments",
+            "line 19: 'trans' takes 3 arguments",
+            "line 22: 'obs' takes 3 arguments",
+            "line 23: 'obs' takes 3 arguments",
+        ]
+
+    def test_states_without_obs_lines_share_one_null_row(self):
+        # A `domain` line after the states widens only the rows that `obs`
+        # lines have made; every other state gets the same null row.
+        text = (
+            "domain H\naction h H\nstate s0 init\nstate s1\nobs s1 H 1\nstate s2\n"
+            "domain L\nobs s1 L 2\nstate s3\n"
+        )
+        system = nc.parse_system(text)
+        null = (nc.NULL_OBS, nc.NULL_OBS)
+        assert system._obs == [null, ("1", "2"), null, null]
+        assert system._obs[0] is system._obs[2] is system._obs[3]
+
     def test_parse_is_linear_in_lines(self):
         # 20 000 states, 160 000 lines: a parser that scans the earlier state
         # declarations on each line is quadratic and far exceeds the bound.
