@@ -1,17 +1,19 @@
 """Time the `parse_system` of two source trees against each other in one
 process, on the files of the `check_files` benchmark workload.
 
-    python3 tools/parse_timing.py OLD_SRC NEW_SRC [--calls 61]
+    python3 tools/parse_timing.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `nicheck` package, such as
 the `src` of two checkouts.  The files are those that `CheckFiles.setup` in
 `perfbench/workloads.py` builds from setup seed 5, written into a
-temporary directory by the `nicheck` beside this script.  Each file is
-parsed `--calls` times by each tree, the two trees taking turns and
-swapping who goes first on every call, once with the cyclic garbage
-collector on and once with it paused around each call, as `cli.main` runs a
-parse.  It prints each tree's median time per call and the ratio NEW/OLD,
-per file and collector setting.
+temporary directory by the `nicheck` beside this script, and one random
+machine whose every state has an `obs` line, which the benchmark files do
+not have.  Each file is parsed `CALLS` times by each tree, the two trees
+taking turns and swapping who goes first on every call, once with the
+cyclic garbage collector on and once with it paused around each call, as
+`cli.main` runs a parse.  It prints each file's share of states with an
+`obs` line, each tree's median time per call and the ratio NEW/OLD, per
+file and collector setting.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files in either tree
 #: The setup seed of the files: its large file has 21 008 lines.
 SEED = 5
+#: Calls per tree, file and collector setting.
+CALLS = 61
 
 
 def _forget_nicheck() -> None:
@@ -72,6 +76,33 @@ def _files(seed: int) -> list[tuple[str, str]]:
         _forget_nicheck()
 
 
+def _observed_file() -> tuple[str, str]:
+    """(label, text) of a 3 000-state random machine with an `obs` line
+    for every state and domain."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from nicheck.fileformat import serialize_system
+        from nicheck.generate import GenParams, gen_random_system
+
+        return "observed", serialize_system(
+            gen_random_system(GenParams(3000, 6, 3, 2, 0.3, 1)))
+    finally:
+        sys.path.remove(str(ROOT / "src"))
+        _forget_nicheck()
+
+
+def _obs_share(text: str) -> float:
+    """The share of the file's states named on an `obs` line."""
+    states, observed = 0, set()
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "state":
+            states += 1
+        elif fields and fields[0] == "obs":
+            observed.add(fields[1])
+    return len(observed) / states
+
+
 def _tables(system) -> tuple:
     """What `System.__eq__` compares, in types both trees share."""
     _, *rest = system._canonical()
@@ -91,11 +122,11 @@ def _time(parse, text: str, paused: bool) -> float:
     return elapsed
 
 
-def compare(old, new, text: str, calls: int, paused: bool) -> tuple[float, float]:
+def compare(old, new, text: str, paused: bool) -> tuple[float, float]:
     """Median seconds per call of `old` and of `new` on `text`."""
     times: tuple[list[float], list[float]] = ([], [])
     gc.collect()
-    for k in range(calls):
+    for k in range(CALLS):
         order = ((0, old), (1, new)) if k % 2 == 0 else ((1, new), (0, old))
         for side, parse in order:
             times[side].append(_time(parse, text, paused))
@@ -106,22 +137,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--calls", type=int, default=61)
     args = parser.parse_args(argv)
-    if args.calls < 1:
-        parser.error("--calls must be at least 1")
-    files = _files(SEED)
+    files = [*_files(SEED), _observed_file()]
     old, new = _parser(args.old_src), _parser(args.new_src)
     for label, text in files:
         if _tables(old(text)) != _tables(new(text)):
             raise SystemExit(f"{label}: the two trees parse it to different systems")
-    print(f"# CPython {platform.python_version()}, {args.calls} interleaved calls"
+    print(f"# CPython {platform.python_version()}, {CALLS} interleaved calls"
           f" per tree, medians in ms")
-    print(f"{'file':15} {'lines':>6} {'gc':6} {'old':>7} {'new':>7} {'new/old':>8}")
+    print(f"{'file':15} {'lines':>6} {'obs':>6} {'gc':6} {'old':>7} {'new':>7}"
+          f" {'new/old':>8}")
     for paused in (False, True):
         for label, text in files:
-            t_old, t_new = compare(old, new, text, args.calls, paused)
-            print(f"{label:15} {text.count(chr(10)):6} {'paused' if paused else 'on':6}"
+            t_old, t_new = compare(old, new, text, paused)
+            print(f"{label:15} {text.count(chr(10)):6} {_obs_share(text):6.4f}"
+                  f" {'paused' if paused else 'on':6}"
                   f" {t_old * 1e3:7.2f} {t_new * 1e3:7.2f} {t_new / t_old:8.3f}")
     return 0
 
