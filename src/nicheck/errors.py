@@ -2,8 +2,8 @@ class InputError(ValueError):
     """Raised for malformed systems, policies, traces, or command-line input.
 
     `diagnostics` carries every problem found at once: all the line-numbered
-    errors of a system file, or all the declaration errors a `System`
-    constructor found.  A single problem is its own one-item list.
+    errors of a system file, or all the declaration errors a `System` or
+    `Policy` constructor found.  A single problem is its own one-item list.
     """
 
     def __init__(self, message, diagnostics=()):

@@ -55,14 +55,12 @@ def parse_system(text: str) -> System:
     states: dict[str, int] = {}
     initial: str | None = None
     # The (state, action) and (state, domain) pairs of the lines that named
-    # an unknown state, action or domain, kept only to report a second
-    # declaration of one once its names are known; a file without such
-    # lines leaves both empty.
+    # an unknown state, action, domain or target, kept only to report a
+    # second declaration of one; a file without such lines leaves both empty.
     transitions: set[tuple[str, str]] = set()
     observations: set[tuple[str, str]] = set()
     # One row per state, one cell per action: the target's index, unset
-    # (-1) until a line sets it.  A line whose target is unknown sets it to
-    # -2, so that a second line for the cell is still a duplicate.
+    # (-1) until a line with known names sets it.
     step: list[list[int]] = []
     # One entry per state: None until the state's first `obs` line makes its
     # row, one cell per domain (the token, None while unset).  The states
@@ -89,25 +87,23 @@ def parse_system(text: str) -> System:
                 diags.append(f"line {lineno}: 'trans' takes 3 arguments")
                 continue
             # Subscripts cost less than `.get` calls; a line with an
-            # unknown name leaves by the KeyError, which looks each up again.
+            # unknown name leaves by the KeyError, which looks each up again
+            # and remembers the line by its names.
             try:
                 row, ai, ti = step[states[s]], aidx[a], states[t]
             except KeyError:
                 si, ti, ai = states.get(s), states.get(t), aidx.get(a)
-                if si is None or ai is None:
-                    if si is None:
-                        diags.append(f"line {lineno}: unknown state {s!r}")
-                    if ti is None:
-                        diags.append(f"line {lineno}: unknown state {t!r}")
-                    if ai is None:
-                        diags.append(f"line {lineno}: unknown action {a!r}")
-                    if (s, a) in transitions:
-                        diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
-                    transitions.add((s, a))
-                    continue
-                diags.append(f"line {lineno}: unknown state {t!r}")
-                row = step[si]
-                ti = -2
+                if si is None:
+                    diags.append(f"line {lineno}: unknown state {s!r}")
+                if ti is None:
+                    diags.append(f"line {lineno}: unknown state {t!r}")
+                if ai is None:
+                    diags.append(f"line {lineno}: unknown action {a!r}")
+                if (s, a) in transitions or (
+                        si is not None and ai is not None and step[si][ai] != -1):
+                    diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
+                transitions.add((s, a))
+                continue
             if row[ai] != -1 or transitions and (s, a) in transitions:
                 diags.append(f"line {lineno}: duplicate transition for ({s}, {a})")
             row[ai] = ti

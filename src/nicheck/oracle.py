@@ -148,13 +148,15 @@ def bounded_check(
     first empty level, whatever the depth.  The scan builds no reference
     cycle and runs with the cyclic garbage collector paused (`gc_paused`);
     everything it built is freed before the collector is switched back on.
-    `depth` and `budget` must be ints, not bools, or `InputError` is raised.
+    `depth` and `budget` must be non-negative ints, not bools (`InputError`).
     """
     child_keys = _lookup(CHILD_KEYS, notion, "security notion")
     _int_of(depth, "depth")
     _int_of(budget, "budget")
     if depth < 0:
         raise InputError(f"depth must be non-negative, got {depth}")
+    if budget < 0:
+        raise InputError(f"budget must be non-negative, got {budget}")
     total = _count_traces(len(system.actions), depth, budget)
     if total > budget:
         raise BudgetError(

@@ -152,19 +152,18 @@ class Policy:
 
     def __init__(self, domains: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.domains = _tuple_of(domains, "domains")
-        for name in self.domains:
-            if _bad_name(name):
-                raise InputError(f"bad domain name {name!r}")
-        self._index = {d: i for i, d in enumerate(self.domains)}
-        if len(self._index) != len(self.domains):
-            raise InputError("duplicate domain declaration")
         edges = _tuple_of(edges, "edges")
+        out: list[str] = []
+        self._index = _index("domain", self.domains, out)
         for edge in edges:
             if not (isinstance(edge, tuple) and len(edge) == 2):
-                raise InputError(f"interference edge {edge!r}: not a (domain, domain) pair")
+                out.append(f"interference edge {edge!r}: not a (domain, domain) pair")
+                continue
             u, v = edge
             if not (_known(u, self._index) and _known(v, self._index)):
-                raise InputError(f"interference edge ({u}, {v}) names an undeclared domain")
+                out.append(f"interference edge ({u}, {v}) names an undeclared domain")
+        if out:
+            raise InputError(out[0], out)
         self.edges = frozenset(edges) | frozenset((d, d) for d in self.domains)
         # `_may[u][v]`: domain index u may interfere with domain index v.
         # Every System over this Policy reads this one matrix.

@@ -82,10 +82,10 @@ MUTANTS = (
         ("tests/test_fileformat.py",),
     ),
     Mutant(
-        "parser leaves the cell of an unknown target unset",
+        "parser misses a set cell on a line naming an unknown target",
         "src/nicheck/fileformat.py",
-        "ti = -2",
-        "ti = -1",
+        "si is not None and ai is not None and step[si][ai] != -1",
+        "False",
         ("tests/test_fileformat.py",),
     ),
     Mutant(
@@ -157,6 +157,55 @@ MUTANTS = (
         "obs[si][di] = token",
         "pass",
         ("tests/test_system.py",),
+    ),
+    Mutant(
+        "Policy keeps only its first problem",
+        "src/nicheck/system.py",
+        "raise InputError(out[0], out)",
+        "raise InputError(out[0], out[:1])",
+        ("tests/test_system.py",),
+    ),
+    Mutant(
+        "ito sends the pre-action view to every domain",
+        "src/nicheck/semantics.py",
+        "sent if u == d else seen",
+        "sent",
+        ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "ta transmits nothing",
+        "src/nicheck/semantics.py",
+        "sent = (keys if profile.views is None else profile.views)[profile.system._dom[ai]]",
+        "sent = 0 if profile.views is None else profile.views[profile.system._dom[ai]]",
+        ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "ip drops the actor's mask",
+        "src/nicheck/semantics.py",
+        "linked = masks[d] | 1 << len(self.trace)",
+        "linked = 1 << len(self.trace)",
+        ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "witness tail unreversed",
+        "src/nicheck/verify.py",
+        "for a in reversed(acts))",
+        "for a in acts)",
+        ("tests/test_verify.py",),
+    ),
+    Mutant(
+        "observing walks the declared states",
+        "src/nicheck/system.py",
+        "for s in system._reach:\n        row = obs[s]",
+        "for s in range(len(obs)):\n        row = obs[s]",
+        ("tests/test_verify.py", "tests/test_oracle.py", "tests/test_system.py"),
+    ),
+    Mutant(
+        "observing stops at the first differing row",
+        "src/nicheck/system.py",
+        "if not blind:\n                break",
+        "break",
+        ("tests/test_verify.py", "tests/test_oracle.py", "tests/test_system.py"),
     ),
 )
 

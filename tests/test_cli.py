@@ -111,6 +111,12 @@ class TestBounded:
         assert code == 3 and not captured.out
         assert "budget 0" in captured.err
 
+    def test_negative_budget_is_an_input_error(self, tmp_path, capsys):
+        code = main(["bounded", "--notion", "p", "--depth", "3", "--budget", "-1",
+                     write_fixture(tmp_path, "fig6")])
+        assert code == 3
+        assert capsys.readouterr() == ("", "budget must be non-negative, got -1\n")
+
     def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["bounded", "--notion", "to", "--depth", "2",
                      non_utf8_file(tmp_path)]) == 3

@@ -154,6 +154,30 @@ class TestParse:
             "line 24: duplicate observation for (X, M)",
         ]
 
+    def test_repeat_naming_an_unknown_target_is_a_duplicate(self):
+        # Line 6 names an unknown target for a cell line 5 set, so only the
+        # cell shows the duplicate; lines 7 and 8 repeat a line that was
+        # remembered by its names.
+        text = (
+            "domain H\n"
+            "action a H\n"
+            "state s init\n"
+            "state u\n"
+            "trans s a u\n"
+            "trans s a zz\n"
+            "trans s a yy\n"
+            "trans s a u\n"
+        )
+        with pytest.raises(nc.InputError) as err:
+            nc.parse_system(text)
+        assert list(err.value.diagnostics) == [
+            "line 6: unknown state 'zz'",
+            "line 6: duplicate transition for (s, a)",
+            "line 7: unknown state 'yy'",
+            "line 7: duplicate transition for (s, a)",
+            "line 8: duplicate transition for (s, a)",
+        ]
+
     def test_arity_diagnostics_of_every_keyword(self):
         # Each keyword gets a line with too few fields and one with too
         # many, after a valid line of its kind, so that a bad line which

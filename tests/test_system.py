@@ -395,6 +395,17 @@ class TestValidate:
             nc.Policy(("A", "B C"))
         assert list(err.value.diagnostics) == ["bad domain name 'B C'"]
 
+    def test_policy_lists_every_problem(self):
+        with pytest.raises(nc.InputError) as err:
+            nc.Policy(("A", "A", "B C"), [("A", "Z"), ("A",)])
+        assert list(err.value.diagnostics) == [
+            "bad domain name 'B C'",
+            "duplicate domain declaration",
+            "interference edge (A, Z) names an undeclared domain",
+            "interference edge ('A',): not a (domain, domain) pair",
+        ]
+        assert str(err.value) == "bad domain name 'B C'"
+
     @pytest.mark.parametrize("edge, diagnostic", [
         (("A",), "interference edge ('A',): not a (domain, domain) pair"),
         (("A", "B", "A"), "interference edge ('A', 'B', 'A'): not a (domain, domain) pair"),

@@ -17,7 +17,8 @@ generator seeded by the system's position in the corpus, it records the
 repr of `view`, `tview`, `ftview`, `lpre` and of `trace_key` under p, ip,
 to and ito, and whether the ta keys of consecutive traces are the same
 object.  An error is recorded as its type and message.  Run it on each tree
-and compare the printed lines.
+and compare the printed lines; `EXPECTED` holds this tree's digest, which a
+tier-1 test (`tests/test_verdict_digest.py`) checks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import nicheck as nc  # noqa: E402
 from conftest import corpus_params  # noqa: E402
 from test_verify import _perturb  # noqa: E402
+
+#: The digest of the current tree.  A change that alters an outcome on
+#: purpose updates it and says so.
+EXPECTED = "19945e267644dcf6704cd42bda4a9a811af15eac4ae25ddcd8631d2da8c414b2"
 
 DECIDERS = {"p": nc.decide_p, "ip": nc.decide_ip, "ta": nc.decide_ta}
 CHECKS = (
@@ -84,15 +89,21 @@ def outcomes(system, seed: int):
         yield repr([a is b for a, b in zip(trees, trees[1:])])
 
 
-def main() -> int:
-    digest = hashlib.sha256()
+def digest() -> tuple[str, int, int]:
+    """The sha256 hex digest over the corpus, its systems and outcomes."""
+    sha = hashlib.sha256()
     systems = count = 0
     for seed, system in enumerate(corpus()):
         systems += 1
         for outcome in outcomes(system, seed):
-            digest.update(outcome.encode() + b"\n")
+            sha.update(outcome.encode() + b"\n")
             count += 1
-    print(f"{digest.hexdigest()}  {systems} systems, {count} outcomes")
+    return sha.hexdigest(), systems, count
+
+
+def main() -> int:
+    hexdigest, systems, count = digest()
+    print(f"{hexdigest}  {systems} systems, {count} outcomes")
     return 0
 
 
