@@ -34,25 +34,18 @@ def _load(path: str) -> System:
     return parse_system(text)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _witness_json(system: System, notion: str, domain, alpha, beta) -> str:
-    end_a = run(system, system.initial, alpha)
-    end_b = run(system, system.initial, beta)
+def _witness_json(system: System, notion: str, found) -> str:
+    """The witness JSON of an insecure `Verdict` or `BoundedVerdict`."""
+    end_a = run(system, system.initial, found.alpha)
+    end_b = run(system, system.initial, found.beta)
     return json.dumps(
         {
             "notion": notion,
-            "domain": domain,
-            "alpha": list(alpha),
-            "beta": list(beta),
-            "obs_alpha": system.obs(end_a, domain),
-            "obs_beta": system.obs(end_b, domain),
+            "domain": found.domain,
+            "alpha": list(found.alpha),
+            "beta": list(found.beta),
+            "obs_alpha": system.obs(end_a, found.domain),
+            "obs_beta": system.obs(end_b, found.domain),
         }
     )
 
@@ -168,26 +161,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Carry out one parsed command and return its exit code."""
-    if args.command == "check":
+    if args.command in ("check", "bounded"):
         system = _load(args.file)
-        verdict = _DECIDERS[args.notion](system)
-        if verdict.secure:
-            print(f"secure ({args.notion})")
-            return 0
-        print(_witness_json(system, args.notion, verdict.domain,
-                            verdict.alpha, verdict.beta))
+        if args.command == "check":
+            found = _DECIDERS[args.notion](system)
+            if found.secure:
+                print(f"secure ({args.notion})")
+                return 0
+        else:
+            found = bounded_check(system, args.notion, args.depth, args.budget)
+            if not found.insecure:
+                print(json.dumps({"notion": args.notion,
+                                  "no_violation_up_to": found.depth}))
+                return 2
+        print(_witness_json(system, args.notion, found))
         return 1
-
-    if args.command == "bounded":
-        system = _load(args.file)
-        outcome = bounded_check(system, args.notion, args.depth, args.budget)
-        if outcome.insecure:
-            print(_witness_json(system, args.notion, outcome.domain,
-                                outcome.alpha, outcome.beta))
-            return 1
-        print(json.dumps({"notion": args.notion,
-                          "no_violation_up_to": outcome.depth}))
-        return 2
 
     if args.command == "bench":
         results = run_scaling_bench(args.notion, args.sizes, args.seed)
@@ -197,7 +185,12 @@ def _run(args) -> int:
         return 0
 
     # Every other command builds one System and writes it out.
-    _emit(serialize_system(args.build(args)), args.out)
+    text = serialize_system(args.build(args))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -39,12 +39,6 @@ class BoundedVerdict:
     beta: Optional[tuple[str, ...]] = None
 
 
-def _interfering(system: System, ui: int) -> list[int]:
-    """Domains other than ui that may interfere with ui, declaration order."""
-    may = system._may
-    return [v for v in range(len(system.policy.domains)) if v != ui and may[v][ui]]
-
-
 _DEFINED = {"p": purge, "ip": ipurge, "ta": ta}
 
 
@@ -78,11 +72,11 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     # sender's ftview.  At u's own actions both trees hold u's view before the
     # action, so u contributes its tview and never its ftview, which would
     # also record the observation after u's last action.
-    domains = system.policy.domains
+    policy = system.policy
     sent = ftview if notion == "ito" else tview
     return (purge(system, u, alpha), tview(system, u, alpha),
-            *[sent(system, domains[v], alpha)
-              for v in _interfering(system, system.policy.index(u))])
+            *[sent(system, v, alpha) for v in policy.domains
+              if v != u and policy.interferes(v, u)])
 
 
 def _count_traces(n_actions: int, depth: int, budget: int) -> int:
@@ -191,7 +185,7 @@ def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict
     # per domain.  A trace tuple is built only for a reported pair.
     seen: list[dict] = [{} for _ in domains]
     for u in checked:
-        seen[u][root.key(u)] = (tokens[u], (), ())
+        seen[u][root.keys[u]] = (tokens[u], (), ())
     frontier = [root]
     for length in range(1, depth + 1):
         if not frontier:
@@ -209,7 +203,7 @@ def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict
                 else:
                     child = parent.step(ai)
                     level.append(child)
-                    keys = [child.key(u) for u in keyed]
+                    keys = [child.keys[u] for u in keyed]
                 for u, i in plan:
                     if i < 0:
                         # The parent's key, whose entry carries the parent's

@@ -323,7 +323,7 @@ class TraceProfile:
 
     `start(system, notion)` makes the profile of the empty trace, and
     `step(ai)` extends a profile by the action of index ai in O(|D|) work
-    plus a copy of the trace.  `key(ui)` is domain ui's key: two keys of
+    plus a copy of the trace.  `keys[ui]` is domain ui's key: two keys of
     one domain from one `start` are equal exactly when the notion's
     definitional function (`purge`, `ipurge`, `ta`, `to`, `ito`) gives equal
     values, which the test suite checks in both directions.  `step` and the
@@ -411,7 +411,3 @@ class TraceProfile:
 
         return TraceProfile(sys, self.notion, table, state,
                             self.trace + (sys.actions[ai],), grown, views, masks)
-
-    def key(self, ui: int) -> int:
-        """The key of domain index `ui`: an interned id."""
-        return self.keys[ui]

@@ -58,11 +58,18 @@ def _bad_name(name) -> bool:
     return not isinstance(name, str) or "#" in name or name.split() != [name]
 
 
-def _tuple_of(value, name: str) -> tuple:
+def _tuple_of(value, name: str, ordered: bool = True) -> tuple:
     """`value` as a tuple; a str, which `tuple` would read letter by letter,
-    or a non-iterable raises `InputError` naming the argument."""
+    or a non-iterable raises `InputError` naming the argument.
+
+    When `ordered`, the order of the names numbers them, so a set or
+    frozenset, whose order follows the string hash and so changes with
+    PYTHONHASHSEED, is refused too.  The message names its type only: its
+    repr is in hash order as well."""
     if isinstance(value, str):
         raise InputError(f"{name} must be a sequence, not the str {value!r}")
+    if ordered and isinstance(value, (set, frozenset)):
+        raise InputError(f"{name} must be a sequence, not a {type(value).__name__}")
     try:
         return tuple(value)
     except TypeError:
@@ -152,7 +159,7 @@ class Policy:
 
     def __init__(self, domains: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.domains = _tuple_of(domains, "domains")
-        edges = _tuple_of(edges, "edges")
+        edges = _tuple_of(edges, "edges", ordered=False)
         out: list[str] = []
         self._index = _index("domain", self.domains, out)
         for edge in edges:
@@ -191,7 +198,7 @@ class Policy:
 
 def policy_image(policy: Policy, sources: Iterable[str]) -> set[str]:
     """All domains some member of `sources` may interfere with."""
-    srcs = _tuple_of(sources, "sources")
+    srcs = _tuple_of(sources, "sources", ordered=False)
     for u in srcs:
         policy.index(u)
     return {v for v in policy.domains for u in srcs if policy.interferes(u, v)}

@@ -187,6 +187,27 @@ MUTANTS = (
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
     ),
     Mutant(
+        "check's secure verdict falls through to the witness tail",
+        "src/nicheck/cli.py",
+        'print(f"secure ({args.notion})")\n                return 0\n',
+        'print(f"secure ({args.notion})")\n',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a clear bounded verdict prints a witness",
+        "src/nicheck/cli.py",
+        "if not found.insecure:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "the scan reads the parent's keys below the last level",
+        "src/nicheck/oracle.py",
+        "keys = [child.keys[u] for u in keyed]",
+        "keys = [parent.keys[u] for u in keyed]",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "witness tail unreversed",
         "src/nicheck/verify.py",
         "for a in reversed(acts))",

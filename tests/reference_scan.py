@@ -52,7 +52,7 @@ def bounded_check(
 
     def check(profile: TraceProfile) -> Optional[BoundedVerdict]:
         for ui in range(nd):
-            key = profile.key(ui)
+            key = profile.keys[ui]
             token = obs[profile.state][ui]
             prior = seen[ui].get(key)
             if prior is None:

@@ -172,7 +172,7 @@ def _partitions_disagree(system, depth, pairs):
         for flat, tree in pairs:
             profile = profiles[flat]
             for u in range(nd):
-                fk = profile.key(u)
+                fk = profile.keys[u]
                 tk = _TREES[tree](system, system.policy.domains[u], profile.trace)
                 f2t = flat_to_tree[(flat, u)].setdefault(fk, tk)
                 t2f = tree_to_flat[(flat, u)].setdefault(tk, fk)

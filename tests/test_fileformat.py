@@ -105,8 +105,9 @@ class TestParse:
         assert str(err.value) == "cannot parse system: line 6: unknown state 's1'"
 
     def test_duplicates_found_through_unset_cells_and_early_names(self):
-        # Each duplicate below is found another way: a cell an unknown
-        # target marked (line 6), a name used before and after its
+        # Each duplicate below is found another way: the (state, action)
+        # names that a line with an unknown target left in the `transitions`
+        # name set, writing no cell (line 6), a name used before and after its
         # declaration (lines 10, 11, 14, 22), a cell of a row widened by a
         # later `action` or `domain` line (17, 24), and an explicit null
         # token, which is still a set cell (19).

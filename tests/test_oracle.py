@@ -338,7 +338,7 @@ class TestLastLevelKeys:
         for length in range(depth):
             for profile in frontier:
                 for u in range(nd):
-                    k = profile.key(u)
+                    k = profile.keys[u]
                     rows.append((u, k, k, None))
             if length < depth - 1:
                 frontier = [p.step(ai) for p in frontier for ai in range(len(s.actions))]
@@ -355,7 +355,7 @@ class TestLastLevelKeys:
         for profile, ai, moved, keys in last:
             child = profile.step(ai)
             for u, k in zip(moved, keys):
-                rows.append((u, k, child.key(u), made))
+                rows.append((u, k, child.keys[u], made))
         return rows
 
     def test_last_keys_partition_like_stepped_children(self):
@@ -386,7 +386,7 @@ class TestScanKeyRepresentation:
             for _ in range(3):
                 level = [p.step(ai) for p in level for ai in range(na)]
             for profile in level:
-                keys = [profile.key(u) for u in range(nd)]
+                keys = [profile.keys[u] for u in range(nd)]
                 for ai in range(na):
                     after = s._obs[s._step[profile.state][ai]]
                     moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
@@ -445,7 +445,7 @@ class TestKeySkipInvariance:
                         if row[u]:
                             continue
                         for profile, child in zip(profiles, children):
-                            assert child.key(u) == profile.key(u), profile.notion
+                            assert child.keys[u] == profile.keys[u], profile.notion
                         d = s.policy.domains[u]
                         for tree in trees:
                             assert tree(s, d, trace + (a,)) is tree(s, d, trace)

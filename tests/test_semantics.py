@@ -155,6 +155,13 @@ class TestInfoTrees:
         assert t.mid.action == "h"
         assert t.mid.left.payload == nc.EPSILON and t.mid.mid.payload == nc.EPSILON
 
+    def test_repr_spells_leaves_and_nodes(self, fig5):
+        assert repr(nc.ta(fig5, "L", ())) == "Leaf(('eps',))"
+        assert repr(nc.ta(fig5, "L", ("h", "d"))) == (
+            "Node(Leaf(('eps',)), Node(Leaf(('eps',)), Leaf(('eps',)), h), d)")
+        assert repr(nc.to(fig5, "L", ("d",))) == (
+            "Node(Leaf(('o', '0')), Leaf(('v', (('o', '0'),))), d)")
+
     def test_ta_blind_to_noninterfering_actions(self, fig5):
         assert nc.ta(fig5, "L", ("h", "h", "h")) is nc.ta(fig5, "L", ())
 

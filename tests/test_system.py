@@ -31,6 +31,27 @@ class TestPolicy:
             nc.Policy(("A", "A"))
 
 
+class TestEqualityHashAndRepr:
+    @pytest.mark.parametrize("name", nc.FIXTURE_NAMES)
+    def test_a_round_trip_is_equal_and_hashes_equal(self, name):
+        s = nc.fixture(name)
+        back = nc.parse_system(nc.serialize_system(s))
+        assert back == s and hash(back) == hash(s)
+        assert back.policy == s.policy and hash(back.policy) == hash(s.policy)
+
+    def test_another_type_is_never_equal(self, fig5):
+        assert fig5 != "fig5"
+        assert fig5.policy != 5
+        assert fig5.__eq__("fig5") is NotImplemented
+        assert fig5.policy.__eq__(5) is NotImplemented
+
+    def test_reprs(self, fig5):
+        assert repr(fig5) == "<System |S|=3 |A|=3 |D|=3>"
+        assert repr(fig5.policy) == (
+            "Policy(['H', 'D', 'L'], "
+            "[('D', 'D'), ('D', 'L'), ('H', 'D'), ('H', 'H'), ('L', 'L')])")
+
+
 class TestPolicyImage:
     def test_downgrader_image_of_high(self):
         assert nc.policy_image(downgrader(), {"H"}) == {"H", "D"}
@@ -714,6 +735,36 @@ def test_sequence_argument_refuses_str_and_int(fig5, entry, bad, shape):
     argument, call = _SEQUENCE_ARGUMENTS[entry]
     with pytest.raises(nc.InputError, match=rf"^{argument} must be {shape}$"):
         call(fig5, bad)
+
+
+# Every argument whose order numbers its names or is read in order: a set's
+# order follows the string hash, which changes with PYTHONHASHSEED, so a set
+# there is refused.  Interference edges and policy_image's sources are
+# unordered and keep accepting one.
+_ORDERED_ARGUMENTS = {
+    **{entry: _SEQUENCE_ARGUMENTS[entry] for entry in _SEQUENCE_ARGUMENTS
+       if entry not in ("Policy.edges", "policy_image")},
+    "PcpInstance.tops": ("tops", lambda f, bad: nc.PcpInstance("ab", bad, ("a", "b"))),
+    "PcpInstance.bottoms": ("bottoms", lambda f, bad: nc.PcpInstance("ab", ("a", "b"), bad)),
+    "pcp_witness": ("solution", lambda f, bad: nc.pcp_witness(nc.DEMO_INSTANCE, bad)),
+}
+
+
+@pytest.mark.parametrize("kind", [set, frozenset], ids=["set", "frozenset"])
+@pytest.mark.parametrize("entry", list(_ORDERED_ARGUMENTS))
+def test_ordered_argument_refuses_a_set(fig5, entry, kind):
+    argument, call = _ORDERED_ARGUMENTS[entry]
+    # The message names the type, never the hash-ordered repr.
+    with pytest.raises(nc.InputError, match=rf"^{argument} must be a sequence, not a "
+                                            rf"{kind.__name__}$"):
+        call(fig5, kind(("b", "a")))
+
+
+def test_unordered_arguments_accept_a_set_and_ordered_ones_a_dict_view(fig5):
+    assert nc.Policy(("A", "B"), {("A", "B")}) == nc.Policy(("A", "B"), (("A", "B"),))
+    assert (nc.policy_image(fig5.policy, frozenset({"H"}))
+            == nc.policy_image(fig5.policy, ("H",)) == {"H", "D"})
+    assert nc.Policy({"B": 0, "A": 1}.keys()).domains == ("B", "A")
 
 
 def test_star_import_binds_no_module():

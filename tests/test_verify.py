@@ -127,6 +127,11 @@ class TestComputeWitness:
             compute_witness(fig5, WitnessStore(), 1, 2)
 
 
+def test_a_verdict_is_true_exactly_when_secure(fig5):
+    assert bool(nc.SECURE)
+    assert not nc.decide_p(fig5)
+
+
 class TestDecideP:
     def test_fig5_insecure_with_purge_equal_witness(self, fig5):
         v = nc.decide_p(fig5)

@@ -11,9 +11,11 @@ machine whose every state has an `obs` line, which the benchmark files do
 not have.  Each file is parsed `CALLS` times by each tree, the two trees
 taking turns and swapping who goes first on every call, once with the
 cyclic garbage collector on and once with it paused around each call, as
-`cli.main` runs a parse.  It prints each file's share of states with an
-`obs` line, each tree's median time per call and the ratio NEW/OLD, per
-file and collector setting.
+`cli.main` runs a parse.  That whole table is measured `RUNS` times over,
+since one run on a busy host can read a file far off.  It prints, per file
+and collector setting, the file's share of states with an `obs` line, each
+tree's median time per call (the median over the runs), the ratio NEW/OLD
+of every run, and the median of those ratios, which is the reading to use.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ sys.dont_write_bytecode = True  # leave no cache files in either tree
 SEED = 5
 #: Calls per tree, file and collector setting.
 CALLS = 61
+#: Times the whole table is measured.
+RUNS = 3
 
 
 def _forget_nicheck() -> None:
@@ -143,16 +147,22 @@ def main(argv=None) -> int:
     for label, text in files:
         if _tables(old(text)) != _tables(new(text)):
             raise SystemExit(f"{label}: the two trees parse it to different systems")
-    print(f"# CPython {platform.python_version()}, {CALLS} interleaved calls"
-          f" per tree, medians in ms")
-    print(f"{'file':15} {'lines':>6} {'obs':>6} {'gc':6} {'old':>7} {'new':>7}"
-          f" {'new/old':>8}")
-    for paused in (False, True):
-        for label, text in files:
-            t_old, t_new = compare(old, new, text, paused)
-            print(f"{label:15} {text.count(chr(10)):6} {_obs_share(text):6.4f}"
-                  f" {'paused' if paused else 'on':6}"
-                  f" {t_old * 1e3:7.2f} {t_new * 1e3:7.2f} {t_new / t_old:8.3f}")
+    rows = [(paused, label, text) for paused in (False, True) for label, text in files]
+    runs: list[list[tuple[float, float]]] = [[] for _ in rows]
+    for _ in range(RUNS):
+        for times, (paused, _, text) in zip(runs, rows):
+            times.append(compare(old, new, text, paused))
+    print(f"# CPython {platform.python_version()}, {RUNS} runs of {CALLS} interleaved"
+          f" calls per tree, medians in ms")
+    print(f"{'file':15} {'lines':>6} {'obs':>6} {'gc':6} {'old':>7} {'new':>7} "
+          + " ".join(f"{f'run{k + 1}':>6}" for k in range(RUNS)) + f" {'median':>7}")
+    for times, (paused, label, text) in zip(runs, rows):
+        ratios = [t_new / t_old for t_old, t_new in times]
+        t_old = statistics.median(t for t, _ in times)
+        t_new = statistics.median(t for _, t in times)
+        print(f"{label:15} {text.count(chr(10)):6} {_obs_share(text):6.4f}"
+              f" {'paused' if paused else 'on':6} {t_old * 1e3:7.2f} {t_new * 1e3:7.2f} "
+              + " ".join(f"{r:6.3f}" for r in ratios) + f" {statistics.median(ratios):7.3f}")
     return 0
 
 
