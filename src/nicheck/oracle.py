@@ -117,17 +117,21 @@ def bounded_check(
     one, extending each by every action in declaration order, so every trace
     shorter than the depth is stepped exactly once, and at most
     |A|^(depth-1) profiles are held, a number the budget already bounds.  The
-    last level is never extended, so its traces get no profile: their keys
-    come straight off the parent's profile by the notion's recurrence
-    (`semantics.CHILD_KEYS`), the one `TraceProfile.step` uses.  A key
-    class's representative is kept as its parent's trace and its last
-    action, so a trace tuple is built only for a reported pair.  Every
-    profile and last-level key interns its components in the one table the
-    root profile made, so every key is one int at any depth, and the system
-    is left untouched.  Each trace's checked domains are judged in one
-    pass in index order, so the lowest-index domain that clashes is the one
-    reported.  A key is computed and looked up only for the domains the
-    trace's last action may interfere with (`System._moved`); every other
+    last level is never extended, so its traces get no profile: one call of
+    the notion's recurrence (`semantics.CHILD_KEYS`, the one
+    `TraceProfile.step` uses) per parent gives the table entry of every
+    child's key, and each entry is looked up, never interned.  An entry the
+    table holds reads as its int id, the key of a shorter trace; any other
+    entry is its own key, equal only to an equal entry of the last level.
+    Every profile key is an int id in the one table the root profile made,
+    which the last level does not grow (save `ito`'s views and `ip`'s walked
+    purges), and the system is left untouched.  A key class's
+    representative is kept as its parent's trace and its last action, so a
+    trace tuple is built only for a reported pair.  Each trace's checked
+    domains are judged in one pass in index order, so the lowest-index
+    domain that clashes is the one reported.  A key is computed and looked
+    up only for the domains the trace's last action may interfere with
+    (`System._moved`); every other
     domain keeps its parent's key and, the parent having passed, clashes
     exactly when its observation changed, so it is looked up only to report
     that clash.  Only the checked domains, those that observe at least two
@@ -137,9 +141,9 @@ def bounded_check(
     every such state sees that token at the end of every trace, none of its
     key classes holds a violation, and skipping it leaves the first
     violation as it was.  The profiles still step every domain's key,
-    because an unchecked actor's keys feed the checked ones.  A machine
-    without actions has only the empty trace, and the scan stops at the
-    first empty level, whatever the depth.  The scan builds no reference
+    because an unchecked actor's keys feed the checked ones.  A machine with
+    no checked domain, among them every machine without actions, is clear
+    at once, whatever the depth.  The scan builds no reference
     cycle and runs with the cyclic garbage collector paused (`gc_paused`);
     everything it built is freed before the collector is switched back on.
     `depth` and `budget` must be non-negative ints, not bools (`InputError`).
@@ -157,29 +161,33 @@ def bounded_check(
             f"bounded check would enumerate at least {total} traces "
             f"(budget {budget})", total
         )
+    # A domain that observes one token in every reachable state never tells
+    # two traces apart, so only the others are keyed and looked up, and a
+    # machine with none of them is clear at once.
+    checked = [u for u, seen in enumerate(_observing(system)) if seen]
+    if not checked:
+        return BoundedVerdict(False, depth)
     # `_scan` returns before the pause ends, so its profiles and key tables
     # are freed while the collector is off, and it never walks them.
     with gc_paused():
-        return _scan(system, notion, child_keys, depth)
+        return _scan(system, notion, child_keys, checked, depth)
 
 
-def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict:
+def _scan(system: System, notion: str, child_keys, checked: list, depth: int) -> BoundedVerdict:
     """The trace enumeration of `bounded_check`, once its arguments are checked."""
     domains = system.policy.domains
-    obs, step = system._obs, system._step
-    # A domain that observes one token in every reachable state never tells
-    # two traces apart, so only the others are keyed and looked up.
-    checked = [u for u, seen in enumerate(_observing(system)) if seen]
-    # Per action: its name as a one-action trace, the checked domains whose
-    # key it may change (`keyed`), and every checked domain in index order
-    # with its position in `keyed`, or -1 when it keeps the parent's key.
-    moves = []
-    for ai, (action, moved) in enumerate(zip(system.actions, system._moved)):
-        keyed = [u for u in checked if u in moved]
-        plan = [(u, keyed.index(u) if u in keyed else -1) for u in checked]
-        moves.append((ai, (action,), keyed, plan))
+    obs, step, dom, moves = system._obs, system._step, system._dom, system._moved
+    actions = range(len(system.actions))
+    tails = [(action,) for action in system.actions]
+    # `jobs`: each action's checked domains whose key it may change, action
+    # by action; `plan`: every action and checked domain in index order with
+    # its place in `jobs`, or -1 when the domain keeps the parent's key.
+    jobs = [(ai, dom[ai], u) for ai in actions for u in checked if u in moves[ai]]
+    plan = [(ai, u, jobs.index((ai, dom[ai], u)) if u in moves[ai] else -1)
+            for ai in actions for u in checked]
 
     root = TraceProfile.start(system, notion)
+    get = root.table.get
     tokens = obs[root.state]
     # key -> (observation, parent's trace, last action as a tuple); one table
     # per domain.  A trace tuple is built only for a reported pair.
@@ -188,38 +196,40 @@ def _scan(system: System, notion: str, child_keys, depth: int) -> BoundedVerdict
         seen[u][root.keys[u]] = (tokens[u], (), ())
     frontier = [root]
     for length in range(1, depth + 1):
-        if not frontier:
-            break
-        last = length == depth
         level = []
         for parent in frontier:
             prefix = parent.trace
             before = obs[parent.state]
             targets = step[parent.state]
-            for ai, tail, keyed, plan in moves:
-                after = obs[targets[ai]]
-                if last:
-                    keys = child_keys(parent, ai, keyed, after)
+            if length == depth:
+                # An entry no shorter trace has keys itself: a tuple, equal
+                # only to an equal entry of this level and never to an id.
+                # No lookup changes its answer within the level: `ito` interns
+                # only views (pairs, never a tree's triple), and an `ip` walk
+                # only sequences shorter than the depth, any of which that is
+                # a purge being, as ipurge is idempotent, its own key already.
+                keys = [get(e, e) for e in child_keys(parent, jobs)]
+            else:
+                children = [parent.step(ai) for ai in actions]
+                level += children
+                keys = [children[ai].keys[u] for ai, _, u in jobs]
+            for ai, u, i in plan:
+                token = obs[targets[ai]][u]
+                if i < 0:
+                    # The parent's key, whose entry carries the parent's
+                    # token (the parent passed), so only a new token clashes.
+                    if token == before[u]:
+                        continue
+                    prior = seen[u][parent.keys[u]]
                 else:
-                    child = parent.step(ai)
-                    level.append(child)
-                    keys = [child.keys[u] for u in keyed]
-                for u, i in plan:
-                    if i < 0:
-                        # The parent's key, whose entry carries the parent's
-                        # token (the parent passed), so only a new token clashes.
-                        if after[u] == before[u]:
-                            continue
-                        prior = seen[u][parent.keys[u]]
-                    else:
-                        prior = seen[u].get(keys[i])
-                        if prior is None:
-                            seen[u][keys[i]] = (after[u], prefix, tail)
-                            continue
-                        if prior[0] == after[u]:
-                            continue
-                    return BoundedVerdict(True, None, domains[u],
-                                          prior[1] + prior[2], prefix + tail)
+                    prior = seen[u].get(keys[i])
+                    if prior is None:
+                        seen[u][keys[i]] = (token, prefix, tails[ai])
+                        continue
+                    if prior[0] == token:
+                        continue
+                return BoundedVerdict(True, None, domains[u],
+                                      prior[1] + prior[2], prefix + tails[ai])
         frontier = level
     return BoundedVerdict(False, depth)
 

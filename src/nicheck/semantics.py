@@ -257,37 +257,40 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 
 # One key recurrence per notion, ta and to sharing one: an action of d
 # sends d's tree under ta and d's view under to, and that is all that
-# differs between them.  CHILD_KEYS[notion](profile, ai, moved, after)
-# gives the keys of the domains in `moved` for the trace
-# `profile.trace + (action ai,)`, read off the parent's profile without
-# building the child's; `after` is the child's observation row.  Ids are
-# interned in the parent's table.  `TraceProfile.step` writes them into the
-# child, and the bounded scan reads its last level straight from them.
+# differs between them.  CHILD_KEYS[notion](profile, jobs) takes a list of
+# (action index ai, its domain d, domain u) jobs and gives, per job, the
+# table entry that u's key for the trace `profile.trace + (action ai,)` is
+# interned under, read off the parent's profile without building the
+# child's: (u's key, ai) under p and ip, (u's key, what d sends, ai) under
+# ta, to and ito.  Only the components of an entry are interned (ito's
+# view after the action, ip's walked purges), never the entry itself:
+# `TraceProfile.step` interns it as the child's key, and the bounded
+# scan's last level only looks it up, so the level that holds most traces
+# grows the table by nothing else.
 #
 # Every key of u changes only at actions whose domain may interfere with u:
 # purge_u, ipurge_u with its position mask, and the trees move only where
 # the policy row of the acting domain holds u.  So every other domain keeps
 # its parent's key, and `bounded_check` judges those domains by their
-# observation alone, with no key lookup, on the strength of this.  `moved`
-# may be any subset of `System._moved[ai]`: `step` passes all of it, and
-# the scan's last level only the domains it checks.
+# observation alone, with no key lookup, on the strength of this.  A job's
+# u may be any domain of `System._moved[ai]`: `step` passes all of them,
+# and the scan's last level only the domains it checks.
 
 
-def _child_p(profile, ai, moved, after):
-    table, keys = profile.table, profile.keys
-    return [table.setdefault((keys[u], ai), len(table)) for u in moved]
+def _child_p(profile, jobs):
+    keys = profile.keys
+    return [(keys[u], ai) for ai, d, u in jobs]
 
 
-def _child_ip(profile, ai, moved, after):
+def _child_ip(profile, jobs):
     # keys[v] is the id of the trace at masks[v]; any other mask is walked.
-    table, keys, masks = profile.table, profile.keys, profile.masks
-    linked = masks[profile.system._dom[ai]]
+    keys, masks = profile.keys, profile.masks
     out = []
-    for u in moved:
-        m = masks[u] | linked
+    for ai, d, u in jobs:
+        m = masks[u] | masks[d]
         k = keys[u] if m == masks[u] else (
             keys[masks.index(m)] if m in masks else _walk_id(profile, m))
-        out.append(table.setdefault((k, ai), len(table)))
+        out.append((k, ai))
     return out
 
 
@@ -299,19 +302,25 @@ def _walk_id(profile, mask):
     return k
 
 
-def _child_tree(profile, ai, moved, after):
-    table, keys = profile.table, profile.keys
-    sent = (keys if profile.views is None else profile.views)[profile.system._dom[ai]]
-    return [table.setdefault((keys[u], sent, ai), len(table)) for u in moved]
+def _child_tree(profile, jobs):
+    keys = profile.keys
+    sent = keys if profile.views is None else profile.views
+    return [(keys[u], sent[d], ai) for ai, d, u in jobs]
 
 
-def _child_ito(profile, ai, moved, after):
-    table, keys = profile.table, profile.keys
-    d = profile.system._dom[ai]
-    sent = profile.views[d]
-    seen = table.setdefault((table.setdefault((sent, ai), len(table)), after[d]), len(table))
-    return [table.setdefault((keys[u], sent if u == d else seen, ai), len(table))
-            for u in moved]
+def _child_ito(profile, jobs):
+    # d's view after the action, interned once per action.
+    table, keys, views = profile.table, profile.keys, profile.views
+    targets, obs = profile.system._step[profile.state], profile.system._obs
+    out, last = [], None
+    for ai, d, u in jobs:
+        sent = views[d]
+        if ai != last:
+            last = ai
+            seen = table.setdefault(
+                (table.setdefault((sent, ai), len(table)), obs[targets[ai]][d]), len(table))
+        out.append((keys[u], sent if u == d else seen, ai))
+    return out
 
 
 CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_tree,
@@ -326,9 +335,10 @@ class TraceProfile:
     plus a copy of the trace.  `keys[ui]` is domain ui's key: two keys of
     one domain from one `start` are equal exactly when the notion's
     definitional function (`purge`, `ipurge`, `ta`, `to`, `ito`) gives equal
-    values, which the test suite checks in both directions.  `step` and the
-    bounded scan's last level compute keys by the one recurrence
-    `CHILD_KEYS[notion]`.
+    values, which the test suite checks in both directions.  `step` interns,
+    with `table.setdefault`, the entries that the notion's one recurrence
+    `CHILD_KEYS[notion]` gives for the domains the action moves; the
+    bounded scan's last level makes the same entries and only looks them up.
 
     Purges, views and trees are int ids in an intern table that `start`
     creates and every profile stepped from it shares.  A sequence is a trie
@@ -343,9 +353,9 @@ class TraceProfile:
     Nothing turns an id back into its value; `oracle.trace_key` reads the
     definitional functions instead, so no witness check reads a profile.
 
-    Every key is an int id.  Under `ip`, `masks[u]` (None otherwise) is an
-    int bitmask of the trace positions a permitted chain links to u, and
-    `keys[u]` is the id of the trace at them: u's intransitive purge.  An
+    Every profile key is an int id.  Under `ip`, `masks[u]` (None otherwise)
+    is an int bitmask of the trace positions a permitted chain links to u,
+    and `keys[u]` is the id of the trace at them: u's intransitive purge.  An
     action of d at position n sets every u that d may interfere with to
     u | d | {n}: the positions linked to the set {u, d} are those linked to
     u or to d, and a chain through the new action must reach d before it.
@@ -386,8 +396,9 @@ class TraceProfile:
         obs = sys._obs[state]
 
         grown = list(keys)
-        for u, k in zip(moved, CHILD_KEYS[self.notion](self, ai, moved, obs)):
-            grown[u] = k
+        entries = CHILD_KEYS[self.notion](self, [(ai, d, u) for u in moved])
+        for u, entry in zip(moved, entries):
+            grown[u] = table.setdefault(entry, len(table))
         masks = self.masks
         if masks is not None:
             linked = masks[d] | 1 << len(self.trace)

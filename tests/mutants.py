@@ -42,22 +42,30 @@ MUTANTS = (
     Mutant(
         "scan judges moved domains first",
         "src/nicheck/oracle.py",
-        "plan = [(u, keyed.index(u) if u in keyed else -1) for u in checked]",
-        "plan = [(u, i) for i, u in enumerate(keyed)] + [(u, -1) for u in checked if u not in keyed]",
+        "for ai in actions for u in checked]",
+        "for ai in actions for u in checked]\n    plan.sort(key=lambda e: (e[0], e[2] < 0))",
         ("tests/test_oracle.py::TestFrontierScanIdentity::test_perturbations_equal_reference_scan",),
     ),
     Mutant(
         "scan never reports an unmoved domain",
         "src/nicheck/oracle.py",
-        "if after[u] == before[u]:\n                            continue",
+        "if token == before[u]:\n                        continue",
         "continue",
         ("tests/test_oracle.py",),
     ),
     Mutant(
-        "scan does not stop at an empty level",
+        "blind machine still scanned",
         "src/nicheck/oracle.py",
-        "        if not frontier:\n            break\n",
+        "    if not checked:\n        return BoundedVerdict(False, depth)\n",
         "",
+        ("tests/test_oracle.py::TestCheckedDomains"
+         "::test_blind_machine_is_clear_without_a_profile",),
+    ),
+    Mutant(
+        "last level skips the table lookup",
+        "src/nicheck/oracle.py",
+        "keys = [get(e, e) for e in child_keys(parent, jobs)]",
+        "keys = child_keys(parent, jobs)",
         ("tests/test_oracle.py",),
     ),
     Mutant(
@@ -175,8 +183,8 @@ MUTANTS = (
     Mutant(
         "ta transmits nothing",
         "src/nicheck/semantics.py",
-        "sent = (keys if profile.views is None else profile.views)[profile.system._dom[ai]]",
-        "sent = 0 if profile.views is None else profile.views[profile.system._dom[ai]]",
+        "sent = keys if profile.views is None else profile.views",
+        "sent = [0] * len(keys) if profile.views is None else profile.views",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
     ),
     Mutant(
@@ -203,8 +211,8 @@ MUTANTS = (
     Mutant(
         "the scan reads the parent's keys below the last level",
         "src/nicheck/oracle.py",
-        "keys = [child.keys[u] for u in keyed]",
-        "keys = [parent.keys[u] for u in keyed]",
+        "keys = [children[ai].keys[u] for ai, _, u in jobs]",
+        "keys = [parent.keys[u] for ai, _, u in jobs]",
         ("tests/test_oracle.py",),
     ),
     Mutant(

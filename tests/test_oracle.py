@@ -86,8 +86,9 @@ class TestBoundedCheck:
         assert err.value.trace_count == 10 ** 9 + 1
 
     def test_actionless_machine_stops_at_the_empty_level(self, actionless, deadline):
-        # Only the empty trace exists, so neither the count nor the scan
-        # walks the depth (at 10^18 levels either would never end).
+        # Only the empty trace exists, so the count does not walk the depth,
+        # and its one state shows each domain one token, so neither does the
+        # scan (at 10^18 levels either would never end).
         for notion in nc.NOTIONS:
             assert nc.bounded_check(actionless, notion, 10 ** 18) == \
                 nc.BoundedVerdict(False, 10 ** 18)
@@ -101,10 +102,18 @@ class TestBoundedCheck:
         with pytest.raises(nc.InputError, match="must be an int"):
             nc.bounded_check(fig5, "p", *args)
 
+    @staticmethod
+    def swap():
+        """One action that swaps two states A tells apart: one trace per
+        length, each scanned, since A sees two tokens."""
+        return nc.System(nc.Policy(("A",)), ("s0", "s1"), "s0", {"a": "A"},
+                         {("s0", "a"): "s1", ("s1", "a"): "s0"},
+                         {("s0", "A"): "0", ("s1", "A"): "1"})
+
     def test_deep_scan_does_not_recurse(self):
         # One action, so depth 300 is 301 traces; a recursive scan would need
         # a frame per action and overflow the lowered limit.
-        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
+        s = self.swap()
         frames, frame = 0, sys._getframe()
         while frame is not None:
             frames, frame = frames + 1, frame.f_back
@@ -131,8 +140,7 @@ class TestBoundedCheck:
         assert not nc.bounded_check(pcp_demo, "to", 5).insecure
         assert calls == 2_800
         calls = 0
-        s = nc.System(nc.Policy(("A",)), ("s0",), "s0", {"a": "A"})
-        assert not nc.bounded_check(s, "ip", 300).insecure
+        assert not nc.bounded_check(self.swap(), "ip", 300).insecure
         assert calls == 299
 
     def test_scan_leaves_system_trees_empty(self):
@@ -328,34 +336,32 @@ class TestLastLevelKeys:
 
     @staticmethod
     def classes(s, notion, depth):
-        """(domain, key from the parent, key of the stepped child, n) for
-        every trace of length `depth`, where n is the size of the intern table
-        before the first such key was made, and (domain, key, key, None) for
-        every shorter trace."""
-        nd = len(s.policy.domains)
+        """(domain, key from the parent, key of the stepped child, True) for
+        every trace of length `depth`, where the key from the parent is its
+        entry looked up as the scan's last level does, and (domain, key,
+        key, False) for every shorter trace."""
+        nd, na = len(s.policy.domains), len(s.actions)
         frontier = [TraceProfile.start(s, notion)]
         rows = []
         for length in range(depth):
             for profile in frontier:
                 for u in range(nd):
                     k = profile.keys[u]
-                    rows.append((u, k, k, None))
+                    rows.append((u, k, k, False))
             if length < depth - 1:
-                frontier = [p.step(ai) for p in frontier for ai in range(len(s.actions))]
-        # All parent-made keys come first, so an id below `made` is a key
-        # that a shorter trace already has, and one above it a new key.
-        made = len(frontier[0].table)
-        last = []
-        for profile in frontier:
-            for ai in range(len(s.actions)):
-                after = s._obs[s._step[profile.state][ai]]
-                moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
-                keys = CHILD_KEYS[notion](profile, ai, moved, after)
-                last.append((profile, ai, moved, keys))
-        for profile, ai, moved, keys in last:
-            child = profile.step(ai)
-            for u, k in zip(moved, keys):
-                rows.append((u, k, child.keys[u], made))
+                frontier = [p.step(ai) for p in frontier for ai in range(na)]
+        # Every last-level key is looked up before any child is stepped, so
+        # an int is a key that a shorter trace already has, and a tuple an
+        # entry that no shorter trace has.
+        jobs = [(ai, s._dom[ai], u) for ai in range(na) for u in range(nd)
+                if s._may[s._dom[ai]][u]]
+        get = frontier[0].table.get
+        last = [(profile, [get(e, e) for e in CHILD_KEYS[notion](profile, jobs)])
+                for profile in frontier]
+        for profile, keys in last:
+            children = [profile.step(ai) for ai in range(na)]
+            for (ai, _, u), k in zip(jobs, keys):
+                rows.append((u, k, children[ai].keys[u], True))
         return rows
 
     def test_last_keys_partition_like_stepped_children(self):
@@ -364,11 +370,11 @@ class TestLastLevelKeys:
             depth = 4 if len(s.actions) <= 4 else 3
             for notion in nc.NOTIONS:
                 forward, backward = {}, {}
-                for u, k, ref, made in self.classes(s, notion, depth):
+                for u, k, ref, last in self.classes(s, notion, depth):
                     assert forward.setdefault((u, k), ref) == ref, notion
                     assert backward.setdefault((u, ref), k) == k, notion
-                    if notion == "ta" and made is not None:
-                        if k < made:
+                    if notion == "ta" and last:
+                        if type(k) is int:
                             shared += 1
                         else:
                             new += 1
@@ -377,21 +383,31 @@ class TestLastLevelKeys:
 
 class TestScanKeyRepresentation:
     def test_scan_keys_are_ints(self, pcp_demo):
-        # Every key is one interned int, from a stepped profile and straight
-        # off a parent alike, however deep the trace.
+        # Every stepped profile key is one interned int, however deep the
+        # trace.  A key straight off a parent is an int the table holds, or
+        # else its entry, which the table does not hold: a tuple of ints,
+        # (key, action) under p/ip and (key, sent, action) under ta/to/ito.
         s = pcp_demo
         nd, na = len(s.policy.domains), len(s.actions)
+        jobs = [(ai, s._dom[ai], u) for ai in range(na) for u in range(nd)
+                if s._may[s._dom[ai]][u]]
         for notion in nc.NOTIONS:
+            size = 2 if notion in ("p", "ip") else 3
+            held = fresh = 0
             level = [TraceProfile.start(s, notion)]
             for _ in range(3):
                 level = [p.step(ai) for p in level for ai in range(na)]
             for profile in level:
-                keys = [profile.keys[u] for u in range(nd)]
-                for ai in range(na):
-                    after = s._obs[s._step[profile.state][ai]]
-                    moved = [u for u in range(nd) if s._may[s._dom[ai]][u]]
-                    keys += CHILD_KEYS[notion](profile, ai, moved, after)
-                assert all(type(k) is int for k in keys), notion
+                assert all(type(k) is int for k in profile.keys), notion
+                table = profile.table
+                for entry in CHILD_KEYS[notion](profile, jobs):
+                    if entry in table:
+                        assert type(table[entry]) is int, notion
+                        held += 1
+                    else:
+                        assert len(entry) == size and all(type(c) is int for c in entry), notion
+                        fresh += 1
+            assert held and fresh, notion
 
     def test_ip_walks_only_masks_no_domain_holds(self, pcp_demo, fig6, monkeypatch):
         # An `ip` key is read off a domain whose position mask equals the
@@ -414,6 +430,30 @@ class TestScanKeyRepresentation:
             assert walks == [], s.policy.domains
         assert not nc.bounded_check(fig6, "ip", 6).insecure
         assert walks
+
+    @pytest.mark.parametrize("notion, depth", [("p", 2), ("ta", 5), ("to", 5)])
+    def test_last_level_interns_nothing(self, pcp_demo, notion, depth, monkeypatch):
+        # Under p, ta and to the last level only looks its entries up, so a
+        # clear scan (under p pcp_demo is clear only to depth 2) leaves the
+        # root's table as the last step below it left it.
+        tables, sizes = [], []
+        start, step = TraceProfile.start, TraceProfile.step
+
+        def started(system, name):
+            root = start(system, name)
+            tables.append(root.table)
+            return root
+
+        def stepped(profile, ai):
+            child = step(profile, ai)
+            sizes.append(len(child.table))
+            return child
+
+        monkeypatch.setattr(TraceProfile, "start", started)
+        monkeypatch.setattr(TraceProfile, "step", stepped)
+        assert nc.bounded_check(pcp_demo, notion, depth) == nc.BoundedVerdict(False, depth)
+        assert len(tables) == 1 and len(sizes) == sum(7 ** k for k in range(1, depth))
+        assert len(tables[0]) == sizes[-1]
 
     def test_flattened_view_components_are_gone(self, fig5):
         for notion in ("tview", "ftview"):
@@ -495,19 +535,41 @@ class TestCheckedDomains:
         for notion in ("ip", "ta", "to", "ito"):
             calls = []
 
-            def recorder(profile, ai, moved, after, recurrence=CHILD_KEYS[notion]):
-                calls.append((len(profile.trace), tuple(moved)))
-                return recurrence(profile, ai, moved, after)
+            def recorder(profile, jobs, recurrence=CHILD_KEYS[notion]):
+                calls.append((len(profile.trace), jobs))
+                return recurrence(profile, jobs)
 
             monkeypatch.setitem(CHILD_KEYS, notion, recorder)
             assert not nc.bounded_check(s, notion, depth).insecure
-            last = [moved for length, moved in calls if length == depth - 1]
-            assert len(last) == 7 ** depth
-            assert {u for moved in last for u in moved} == checked
+            # One call per last-level parent keys all 7 of its children.
+            last = [jobs for length, jobs in calls if length == depth - 1]
+            assert len(last) == 7 ** (depth - 1)
+            assert sum(len({ai for ai, _, _ in jobs}) for jobs in last) == 7 ** depth
+            assert {u for jobs in last for _, _, u in jobs} == checked
             # Profiles below the last level still step every moved domain,
             # since an unchecked actor's keys feed the checked domains' keys.
-            stepped = {u for length, moved in calls if length < depth - 1 for u in moved}
+            stepped = {u for length, jobs in calls if length < depth - 1
+                       for _, _, u in jobs}
             assert stepped == set(range(4))
+
+    def test_blind_machine_is_clear_without_a_profile(self, monkeypatch):
+        # Every domain sees one token in every state, so no two traces are
+        # told apart: the check is clear at once and starts no profile.
+        s = nc.gen_random_system(nc.GenParams(200, 6, 3, 1, 0.3, 1))
+        assert [len(set(column)) for column in zip(*s._obs)] == [1, 1, 1]
+        want = {notion: reference_scan.bounded_check(s, notion, 5) for notion in nc.NOTIONS}
+        starts = []
+        start = TraceProfile.start
+
+        def recorder(system, notion):
+            starts.append(notion)
+            return start(system, notion)
+
+        monkeypatch.setattr(TraceProfile, "start", recorder)
+        for notion in nc.NOTIONS:
+            assert repr(nc.bounded_check(s, notion, 5)) == repr(want[notion])
+            assert nc.bounded_check(s, notion, 7) == nc.BoundedVerdict(False, 7)
+        assert starts == []
 
 
 class TestCollectorPaused:
@@ -533,9 +595,9 @@ class TestCollectorPaused:
     def test_scan_runs_with_the_collector_off(self, pcp_demo, collector, monkeypatch):
         states = set()
 
-        def recorder(profile, ai, moved, after, recurrence=CHILD_KEYS["ta"]):
+        def recorder(profile, jobs, recurrence=CHILD_KEYS["ta"]):
             states.add(gc.isenabled())
-            return recurrence(profile, ai, moved, after)
+            return recurrence(profile, jobs)
 
         monkeypatch.setitem(CHILD_KEYS, "ta", recorder)
         nc.bounded_check(pcp_demo, "ta", 3)

@@ -45,20 +45,20 @@ def _forget_nicheck() -> None:
         del sys.modules[name]
 
 
-def _parser(src: Path):
-    """`parse_system` as the tree at `src` defines it.  Its functions keep
+def _package(src: Path):
+    """The `nicheck` package of the tree at `src`.  Its functions keep
     their own module globals after the modules are dropped from
-    `sys.modules`, so two trees' parsers live side by side."""
+    `sys.modules`, so two trees' functions live side by side."""
     _forget_nicheck()
     sys.path.insert(0, str(src))
     try:
-        module = importlib.import_module("nicheck.fileformat")
+        module = importlib.import_module("nicheck")
     finally:
         sys.path.remove(str(src))
         _forget_nicheck()
     if not Path(module.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"{src} holds no nicheck package")
-    return module.parse_system
+    return module
 
 
 def _files(seed: int) -> list[tuple[str, str]]:
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     args = parser.parse_args(argv)
     files = [*_files(SEED), _observed_file()]
-    old, new = _parser(args.old_src), _parser(args.new_src)
+    old, new = _package(args.old_src).parse_system, _package(args.new_src).parse_system
     for label, text in files:
         if _tables(old(text)) != _tables(new(text)):
             raise SystemExit(f"{label}: the two trees parse it to different systems")
