@@ -136,16 +136,19 @@ def bounded_check(
     exactly when its observation changed, so it is looked up only to report
     that clash.  Only the checked domains, those that observe at least two
     tokens over the reachable states (`_observing`, the test the deciders
-    use too), have key tables, key lookups or observation comparisons:
-    every trace ends in a reachable state, so a domain with one token in
-    every such state sees that token at the end of every trace, none of its
-    key classes holds a violation, and skipping it leaves the first
-    violation as it was.  The profiles still step every domain's key,
-    because an unchecked actor's keys feed the checked ones.  A machine with
-    no checked domain, among them every machine without actions, is clear
-    at once, whatever the depth.  The scan builds no reference
-    cycle and runs with the cyclic garbage collector paused (`gc_paused`);
-    everything it built is freed before the collector is switched back on.
+    use too) and that some action does not move, have key tables, key
+    lookups or observation comparisons.  Every trace ends in a reachable
+    state, so a domain with one token in every such state sees that token
+    at the end of every trace; and a domain every action moves has
+    purge_u(alpha) = alpha, so under every notion its key determines the
+    whole trace.  Neither has a key class that holds two traces, let alone
+    a violation, and skipping them leaves the first violation as it was.
+    The profiles still step every domain's key, because an unchecked
+    actor's keys feed the checked ones.  A machine with no checked domain,
+    among them every machine without actions, is clear at once, whatever
+    the depth.  The scan builds no reference cycle and runs with the cyclic
+    garbage collector paused (`gc_paused`); everything it built is freed
+    before the collector is switched back on.
     `depth` and `budget` must be non-negative ints, not bools (`InputError`).
     """
     child_keys = _lookup(CHILD_KEYS, notion, "security notion")
@@ -162,9 +165,11 @@ def bounded_check(
             f"(budget {budget})", total
         )
     # A domain that observes one token in every reachable state never tells
-    # two traces apart, so only the others are keyed and looked up, and a
-    # machine with none of them is clear at once.
-    checked = [u for u, seen in enumerate(_observing(system)) if seen]
+    # two traces apart, nor does one that every action moves: its key is the
+    # whole trace.  Only the others are keyed and looked up, and a machine
+    # with none of them is clear at once.
+    checked = [u for u, seen in enumerate(_observing(system))
+               if seen and not all(u in moved for moved in system._moved)]
     if not checked:
         return BoundedVerdict(False, depth)
     # `_scan` returns before the pause ends, so its profiles and key tables

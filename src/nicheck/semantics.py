@@ -274,7 +274,8 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # its parent's key, and `bounded_check` judges those domains by their
 # observation alone, with no key lookup, on the strength of this.  A job's
 # u may be any domain of `System._moved[ai]`: `step` passes all of them,
-# and the scan's last level only the domains it checks.
+# and the scan's last level only the domains it checks: never a blind one,
+# nor one that every action moves.
 
 
 def _child_p(profile, jobs):

@@ -62,6 +62,21 @@ MUTANTS = (
          "::test_blind_machine_is_clear_without_a_profile",),
     ),
     Mutant(
+        "scan drops a domain some action moves",
+        "src/nicheck/oracle.py",
+        "not all(u in moved for moved in system._moved)",
+        "not any(u in moved for moved in system._moved)",
+        ("tests/test_oracle.py::TestFrontierScanIdentity",),
+    ),
+    Mutant(
+        "scan keys a domain that sees every action",
+        "src/nicheck/oracle.py",
+        "if seen and not all(u in moved for moved in system._moved)]",
+        "if seen]",
+        ("tests/test_oracle.py::TestCheckedDomains"
+         "::test_one_token_domains_reach_no_last_level_key",),
+    ),
+    Mutant(
         "last level skips the table lookup",
         "src/nicheck/oracle.py",
         "keys = [get(e, e) for e in child_keys(parent, jobs)]",

@@ -13,6 +13,7 @@ from conftest import corpus_params, hidden_bit_system, random_trace
 from test_verify import _perturb
 from nicheck import semantics
 from nicheck.semantics import CHILD_KEYS, TraceProfile
+from nicheck.system import _observing
 
 
 class TestTraceKey:
@@ -105,15 +106,43 @@ class TestBoundedCheck:
     @staticmethod
     def swap():
         """One action that swaps two states A tells apart: one trace per
-        length, each scanned, since A sees two tokens."""
+        length, and A sees every action, so no two traces share a key of A's
+        and none is scanned."""
         return nc.System(nc.Policy(("A",)), ("s0", "s1"), "s0", {"a": "A"},
                          {("s0", "a"): "s1", ("s1", "a"): "s0"},
                          {("s0", "A"): "0", ("s1", "A"): "1"})
 
+    @staticmethod
+    def chain(n):
+        """One action b of B, which A may not see, walks s0 ... sn, and A
+        sees "1" only at sn: one trace per length, every one in A's single
+        key class, so the scan is insecure at exactly depth n."""
+        states = tuple(f"s{i}" for i in range(n + 1))
+        return nc.System(nc.Policy(("A", "B")), states, "s0", {"b": "B"},
+                         {(states[i], "b"): states[i + 1] for i in range(n)},
+                         {(states[n], "A"): "1"})
+
+    def test_machine_that_sees_every_action_starts_no_profile(self, monkeypatch):
+        # A sees two tokens but every action too, so the check is clear at
+        # once, whatever the depth (here 10^18 levels, under a budget that
+        # admits them).
+        starts = []
+        start = TraceProfile.start
+
+        def recorder(system, notion):
+            starts.append(notion)
+            return start(system, notion)
+
+        monkeypatch.setattr(TraceProfile, "start", recorder)
+        for notion in nc.NOTIONS:
+            assert nc.bounded_check(self.swap(), notion, 10 ** 18, 10 ** 19) == \
+                nc.BoundedVerdict(False, 10 ** 18)
+        assert starts == []
+
     def test_deep_scan_does_not_recurse(self):
         # One action, so depth 300 is 301 traces; a recursive scan would need
         # a frame per action and overflow the lowered limit.
-        s = self.swap()
+        s = self.chain(300)
         frames, frame = 0, sys._getframe()
         while frame is not None:
             frames, frame = frames + 1, frame.f_back
@@ -123,7 +152,7 @@ class TestBoundedCheck:
             out = nc.bounded_check(s, "ip", 300)
         finally:
             sys.setrecursionlimit(limit)
-        assert not out.insecure and out.depth == 300
+        assert out.insecure and out.alpha == () and out.beta == ("b",) * 300
 
     def test_each_trace_is_extended_once(self, pcp_demo, monkeypatch):
         calls = 0
@@ -140,7 +169,7 @@ class TestBoundedCheck:
         assert not nc.bounded_check(pcp_demo, "to", 5).insecure
         assert calls == 2_800
         calls = 0
-        assert not nc.bounded_check(self.swap(), "ip", 300).insecure
+        assert nc.bounded_check(self.chain(300), "ip", 300).insecure
         assert calls == 299
 
     def test_scan_leaves_system_trees_empty(self):
@@ -422,12 +451,9 @@ class TestScanKeyRepresentation:
             return walk(profile, mask)
 
         monkeypatch.setattr(semantics, "_walk_id", counted)
-        swap = nc.System(nc.Policy(("A",)), ("s0", "s1"), "s0", {"a": "A"},
-                         {("s0", "a"): "s1", ("s1", "a"): "s0"},
-                         {("s0", "A"): "0", ("s1", "A"): "1"})
-        for s, depth in ((pcp_demo, 4), (swap, 2_000)):
-            assert not nc.bounded_check(s, "ip", depth).insecure
-            assert walks == [], s.policy.domains
+        assert not nc.bounded_check(pcp_demo, "ip", 4).insecure
+        assert nc.bounded_check(TestBoundedCheck.chain(2_000), "ip", 2_000).insecure
+        assert walks == []
         assert not nc.bounded_check(fig6, "ip", 6).insecure
         assert walks
 
@@ -495,8 +521,51 @@ class TestKeySkipInvariance:
 
 class TestCheckedDomains:
     """`bounded_check` keys and looks up only the domains that observe at
-    least two tokens over the reachable states; the others can never tell two
-    traces apart."""
+    least two tokens over the reachable states and that some action does not
+    move; the others can never tell two traces apart."""
+
+    @staticmethod
+    def sees_every_action(s):
+        return [u for u in range(len(s.policy.domains))
+                if all(u in moved for moved in s._moved)]
+
+    def test_keys_of_a_domain_that_sees_every_action_are_injective(self):
+        # Checked against the definitional keys, not the scan's profiles: no
+        # two traces share a key of such a domain under any notion.
+        systems = [nc.fixture(name) for name in nc.FIXTURE_NAMES]
+        systems += [nc.gen_random_system(p) for p in corpus_params(60, seed=7)]
+        domains = 0
+        for s in systems:
+            depth = 3 if len(s.actions) <= 5 else 2
+            traces = [alpha for n in range(depth + 1)
+                      for alpha in itertools.product(s.actions, repeat=n)]
+            for u in self.sees_every_action(s):
+                domains += 1
+                for notion in nc.NOTIONS:
+                    keys = {}
+                    for alpha in traces:
+                        key = nc.trace_key(s, notion, s.policy.domains[u], alpha)
+                        assert keys.setdefault(key, alpha) == alpha, (notion, alpha)
+        assert domains >= 60
+
+    def test_dropping_them_keeps_the_reference_verdicts(self):
+        # The reference scan keys every domain.  Most of these systems have
+        # an observing domain that every action moves, so the comparison
+        # covers the skip.  One level short of `TestFrontierScanIdentity`'s
+        # depths, the skip falls on a last level that test steps.
+        dropped = insecure = 0
+        for s in TestFrontierScanIdentity.systems():
+            observing = _observing(s)
+            if not any(observing[u] for u in self.sees_every_action(s)):
+                continue
+            dropped += 1
+            depth = 3 if len(s.actions) > 6 else 4
+            for notion in nc.NOTIONS:
+                got = nc.bounded_check(s, notion, depth)
+                want = reference_scan.bounded_check(s, notion, depth)
+                assert repr(got) == repr(want), (s.policy.domains, notion)
+                insecure += got.insecure
+        assert dropped >= 100 and insecure >= 200
 
     @staticmethod
     def late_token_machines():
@@ -526,10 +595,15 @@ class TestCheckedDomains:
 
     def test_one_token_domains_reach_no_last_level_key(self, pcp_demo, monkeypatch):
         # pcp_demo's speller and picker observe one token in every state;
-        # closer and watcher observe several.
+        # closer and watcher observe several, but every action moves closer,
+        # so no two traces share one of its keys.  Only watcher is keyed, at
+        # the 3 actions that move it: speller's a and b and closer's end.
         s = pcp_demo
         assert [len(set(column)) for column in zip(*s._obs)] == [1, 1, 6, 4]
-        checked = {s.policy.index("closer"), s.policy.index("watcher")}
+        closer, watcher = s.policy.index("closer"), s.policy.index("watcher")
+        assert all(closer in moved for moved in s._moved)
+        movers = {s.action_index(a) for a in ("a", "b", "end")}
+        assert {ai for ai, moved in enumerate(s._moved) if watcher in moved} == movers
         depth = 4
         # Under p a violation ends the scan at depth 3; the others clear 4.
         for notion in ("ip", "ta", "to", "ito"):
@@ -541,11 +615,12 @@ class TestCheckedDomains:
 
             monkeypatch.setitem(CHILD_KEYS, notion, recorder)
             assert not nc.bounded_check(s, notion, depth).insecure
-            # One call per last-level parent keys all 7 of its children.
+            # One call per last-level parent keys the 3 of its 7 children
+            # whose last action moves watcher.
             last = [jobs for length, jobs in calls if length == depth - 1]
             assert len(last) == 7 ** (depth - 1)
-            assert sum(len({ai for ai, _, _ in jobs}) for jobs in last) == 7 ** depth
-            assert {u for jobs in last for _, _, u in jobs} == checked
+            assert all({ai for ai, _, _ in jobs} == movers for jobs in last)
+            assert {u for jobs in last for _, _, u in jobs} == {watcher}
             # Profiles below the last level still step every moved domain,
             # since an unchecked actor's keys feed the checked domains' keys.
             stepped = {u for length, jobs in calls if length < depth - 1
