@@ -124,8 +124,8 @@ def bounded_check(
     table holds reads as its int id, the key of a shorter trace; any other
     entry is its own key, equal only to an equal entry of the last level.
     Every profile key is an int id in the one table the root profile made,
-    which the last level does not grow (save `ito`'s views and `ip`'s walked
-    purges), and the system is left untouched.  A key class's
+    which the last level does not grow (save `ip`'s walked purges), and the
+    system is left untouched.  A key class's
     representative is kept as its parent's trace and its last action, so a
     trace tuple is built only for a reported pair.  Each trace's checked
     domains are judged in one pass in index order, so the lowest-index
@@ -209,10 +209,10 @@ def _scan(system: System, notion: str, child_keys, checked: list, depth: int) ->
             if length == depth:
                 # An entry no shorter trace has keys itself: a tuple, equal
                 # only to an equal entry of this level and never to an id.
-                # No lookup changes its answer within the level: `ito` interns
-                # only views (pairs, never a tree's triple), and an `ip` walk
-                # only sequences shorter than the depth, any of which that is
-                # a purge being, as ipurge is idempotent, its own key already.
+                # No lookup changes its answer within the level: only an `ip`
+                # walk interns, and only sequences shorter than the depth, any
+                # of which that is a purge being, as ipurge is idempotent, its
+                # own key already.
                 keys = [get(e, e) for e in child_keys(parent, jobs)]
             else:
                 children = [parent.step(ai) for ai in actions]

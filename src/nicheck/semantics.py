@@ -262,11 +262,12 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # table entry that u's key for the trace `profile.trace + (action ai,)` is
 # interned under, read off the parent's profile without building the
 # child's: (u's key, ai) under p and ip, (u's key, what d sends, ai) under
-# ta, to and ito.  Only the components of an entry are interned (ito's
-# view after the action, ip's walked purges), never the entry itself:
-# `TraceProfile.step` interns it as the child's key, and the bounded
-# scan's last level only looks it up, so the level that holds most traces
-# grows the table by nothing else.
+# ta, to and ito.  Under ito, d sends every other u its view after the
+# action, which is its view before, ai and its next token, so u's entry
+# holds the token as a fourth item.  Only ip's walked purges are interned,
+# never an entry: `TraceProfile.step` interns it as the child's key, and
+# the bounded scan's last level only looks it up, so the level that holds
+# most traces grows the table by nothing else.
 #
 # Every key of u changes only at actions whose domain may interfere with u:
 # purge_u, ipurge_u with its position mask, and the trees move only where
@@ -310,18 +311,12 @@ def _child_tree(profile, jobs):
 
 
 def _child_ito(profile, jobs):
-    # d's view after the action, interned once per action.
-    table, keys, views = profile.table, profile.keys, profile.views
+    # d's view after the action is its view before, the action and its next
+    # token, so another domain's entry carries those three in its place.
+    keys, views = profile.keys, profile.views
     targets, obs = profile.system._step[profile.state], profile.system._obs
-    out, last = [], None
-    for ai, d, u in jobs:
-        sent = views[d]
-        if ai != last:
-            last = ai
-            seen = table.setdefault(
-                (table.setdefault((sent, ai), len(table)), obs[targets[ai]][d]), len(table))
-        out.append((keys[u], sent if u == d else seen, ai))
-    return out
+    return [(keys[u], views[d], ai) if u == d else
+            (keys[u], views[d], ai, obs[targets[ai]][d]) for ai, d, u in jobs]
 
 
 CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_tree,
@@ -346,8 +341,8 @@ class TraceProfile:
     node, id(seq + (e,)) = table[(id(seq), e)], whose elements are action
     indices and, in views, observation tokens; a tree node is table[(left
     id, transmitted id, action index)], where an action of d transmits d's
-    `ta` tree, under `to` d's view before the action, and under `ito` d's
-    view after it to every domain but d.  Id 0 is both the empty sequence
+    `ta` tree, or under `to`/`ito` d's view before the action; under `ito`
+    another domain's node adds d's next token.  Id 0 is the empty sequence
     and every empty-history tree: the `to`/`ito` trees drop their
     initial-observation leaf, one per domain.  `views` holds each domain's
     view id under `to`/`ito`, which transmit views, and is None otherwise.

@@ -5,7 +5,7 @@ test files (or test node ids) that must fail on it.
 
     python3 tests/mutants.py
 
-The runner copies `src` and `tests` to a temporary directory, applies one
+The runner copies `PARTS` to a temporary directory, applies one
 mutant at a time there, runs its targets with `pytest -x`, and prints
 "killed" or "SURVIVED" for each.  A mutant is killed only when its targets
 ran and failed (pytest exit 1) or hung past `TIMEOUT_S`.  The runner exits
@@ -26,6 +26,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: What the runner copies: the tests read `tools` and `demos` as well.
+PARTS = ("src", "tests", "tools", "demos")
 #: A mutant whose targets run longer than this counts as killed.
 TIMEOUT_S = 300
 
@@ -191,9 +193,59 @@ MUTANTS = (
     Mutant(
         "ito sends the pre-action view to every domain",
         "src/nicheck/semantics.py",
-        "sent if u == d else seen",
-        "sent",
+        "ai, obs[targets[ai]][d])",
+        "ai)",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "ito sends the actor its own token",
+        "src/nicheck/semantics.py",
+        "[(keys[u], views[d], ai) if u == d else\n            (keys[u]",
+        "[(keys[u]",
+        ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "views never grow at another domain's new token",
+        "src/nicheck/semantics.py",
+        "if o != before[v] and v != d:",
+        "if False:",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_classification",),
+    ),
+    Mutant(
+        "ip reads the observer's own purge for a mask no domain holds",
+        "src/nicheck/semantics.py",
+        "else _walk_id(profile, m)",
+        "else keys[u]",
+        ("tests/test_oracle.py::TestBoundedCheck"
+         "::test_bounded_ip_matches_definitional_reference",),
+    ),
+    Mutant(
+        "tview keeps the observation after the last action",
+        "src/nicheck/semantics.py",
+        "return ftview(system, u, alpha)[:-1]",
+        "return ftview(system, u, alpha)",
+        ("tests/test_acceptance.py::test_criterion_9_witness_self_containment",),
+    ),
+    Mutant(
+        "purge keeps every action",
+        "src/nicheck/semantics.py",
+        "for a in idxs if may[dom[a]][ui])",
+        "for a in idxs)",
+        ("tests/test_acceptance.py::test_criterion_4_semantics_laws",),
+    ),
+    Mutant(
+        "decide_ta checks no swap",
+        "src/nicheck/verify.py",
+        "for v in range(nd) for w in range(v + 1, nd)",
+        "for v in range(nd) for w in range(0)",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_classification",),
+    ),
+    Mutant(
+        "ip closures synchronise every action",
+        "src/nicheck/verify.py",
+        "[a for a in range(len(system.actions)) if not may[v][dom[a]]]",
+        "list(range(len(system.actions)))",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_classification",),
     ),
     Mutant(
         "ta transmits nothing",
@@ -260,18 +312,29 @@ def _run(mutant: Mutant, work: Path) -> int:
     path = work / mutant.file
     original = path.read_text(encoding="utf-8")
     path.write_text(original.replace(mutant.anchor, mutant.replacement), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *mutant.targets],
-            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT_S)
+        return pytest_in(work, mutant.targets)
     except subprocess.TimeoutExpired:
         return 1  # the targets never passed
     finally:
         path.write_text(original, encoding="utf-8")
-    return done.returncode
+
+
+def copy_parts(work: Path) -> None:
+    """Copy `PARTS` of the repository into `work`."""
+    for part in PARTS:
+        shutil.copytree(ROOT / part, work / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def pytest_in(work: Path, targets) -> int:
+    """Run `targets` with `pytest -x` in the copy `work`, against its `src`,
+    and return pytest's exit code."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
+        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=TIMEOUT_S).returncode
 
 
 def main() -> int:
@@ -283,9 +346,7 @@ def main() -> int:
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, work / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
+        copy_parts(work)
         for m in MUTANTS:
             code = _run(m, work)
             if code not in (0, 1):

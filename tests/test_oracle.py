@@ -414,8 +414,9 @@ class TestScanKeyRepresentation:
     def test_scan_keys_are_ints(self, pcp_demo):
         # Every stepped profile key is one interned int, however deep the
         # trace.  A key straight off a parent is an int the table holds, or
-        # else its entry, which the table does not hold: a tuple of ints,
-        # (key, action) under p/ip and (key, sent, action) under ta/to/ito.
+        # else its entry, which the table does not hold: (key, action) under
+        # p/ip and (key, sent, action) under ta/to/ito, all ints, where `ito`
+        # adds, for every domain but the actor, the actor's next token.
         s = pcp_demo
         nd, na = len(s.policy.domains), len(s.actions)
         jobs = [(ai, s._dom[ai], u) for ai in range(na) for u in range(nd)
@@ -429,13 +430,17 @@ class TestScanKeyRepresentation:
             for profile in level:
                 assert all(type(k) is int for k in profile.keys), notion
                 table = profile.table
-                for entry in CHILD_KEYS[notion](profile, jobs):
+                for (ai, d, u), entry in zip(jobs, CHILD_KEYS[notion](profile, jobs)):
                     if entry in table:
                         assert type(table[entry]) is int, notion
                         held += 1
-                    else:
-                        assert len(entry) == size and all(type(c) is int for c in entry), notion
-                        fresh += 1
+                        continue
+                    fresh += 1
+                    if notion == "ito" and u != d:
+                        token = s._obs[s._step[profile.state][ai]][d]
+                        assert type(token) is str and entry[size:] == (token,), notion
+                        entry = entry[:size]
+                    assert len(entry) == size and all(type(c) is int for c in entry), notion
             assert held and fresh, notion
 
     def test_ip_walks_only_masks_no_domain_holds(self, pcp_demo, fig6, monkeypatch):
@@ -457,11 +462,11 @@ class TestScanKeyRepresentation:
         assert not nc.bounded_check(fig6, "ip", 6).insecure
         assert walks
 
-    @pytest.mark.parametrize("notion, depth", [("p", 2), ("ta", 5), ("to", 5)])
+    @pytest.mark.parametrize("notion, depth", [("p", 2), ("ta", 5), ("to", 5), ("ito", 5)])
     def test_last_level_interns_nothing(self, pcp_demo, notion, depth, monkeypatch):
-        # Under p, ta and to the last level only looks its entries up, so a
-        # clear scan (under p pcp_demo is clear only to depth 2) leaves the
-        # root's table as the last step below it left it.
+        # Under p, ta, to and ito the last level only looks its entries up,
+        # so a clear scan (under p pcp_demo is clear only to depth 2) leaves
+        # the root's table as the last step below it left it.
         tables, sizes = [], []
         start, step = TraceProfile.start, TraceProfile.step
 
