@@ -114,12 +114,12 @@ def bounded_check(
     with depth squared.
 
     Each length below the depth is built from the profiles of the previous
-    one, extending each by every action in declaration order, so every trace
-    shorter than the depth is stepped exactly once, and at most
+    one, each giving its extensions by every action in declaration order, so
+    every trace shorter than the depth is built exactly once, and at most
     |A|^(depth-1) profiles are held, a number the budget already bounds.  The
     last level is never extended, so its traces get no profile: one call of
     the notion's recurrence (`semantics.CHILD_KEYS`, the one
-    `TraceProfile.step` uses) per parent gives the table entry of every
+    `TraceProfile.children` uses) per parent gives the table entry of every
     child's key, and each entry is looked up, never interned.  An entry the
     table holds reads as its int id, the key of a shorter trace; any other
     entry is its own key, equal only to an equal entry of the last level.
@@ -215,7 +215,7 @@ def _scan(system: System, notion: str, child_keys, checked: list, depth: int) ->
                 # own key already.
                 keys = [get(e, e) for e in child_keys(parent, jobs)]
             else:
-                children = [parent.step(ai) for ai in actions]
+                children = parent.children()
                 level += children
                 keys = [children[ai].keys[u] for ai, _, u in jobs]
             for ai, u, i in plan:

@@ -265,18 +265,18 @@ def swappable(system: System, u: str, alpha, i: int) -> bool:
 # ta, to and ito.  Under ito, d sends every other u its view after the
 # action, which is its view before, ai and its next token, so u's entry
 # holds the token as a fourth item.  Only ip's walked purges are interned,
-# never an entry: `TraceProfile.step` interns it as the child's key, and
-# the bounded scan's last level only looks it up, so the level that holds
-# most traces grows the table by nothing else.
+# never an entry: `TraceProfile.children` interns each as a child's key,
+# and the bounded scan's last level only looks it up, so the level that
+# holds most traces grows the table by nothing else.
 #
 # Every key of u changes only at actions whose domain may interfere with u:
 # purge_u, ipurge_u with its position mask, and the trees move only where
 # the policy row of the acting domain holds u.  So every other domain keeps
 # its parent's key, and `bounded_check` judges those domains by their
 # observation alone, with no key lookup, on the strength of this.  A job's
-# u may be any domain of `System._moved[ai]`: `step` passes all of them,
-# and the scan's last level only the domains it checks: never a blind one,
-# nor one that every action moves.
+# u may be any domain of `System._moved[ai]`: `children` passes all of
+# them, and the scan's last level only the domains it checks: never a blind
+# one, nor one that every action moves.
 
 
 def _child_p(profile, jobs):
@@ -327,27 +327,30 @@ class TraceProfile:
     """Every domain's key under one notion for one action prefix.
 
     `start(system, notion)` makes the profile of the empty trace, and
-    `step(ai)` extends a profile by the action of index ai in O(|D|) work
-    plus a copy of the trace.  `keys[ui]` is domain ui's key: two keys of
-    one domain from one `start` are equal exactly when the notion's
-    definitional function (`purge`, `ipurge`, `ta`, `to`, `ito`) gives equal
-    values, which the test suite checks in both directions.  `step` interns,
-    with `table.setdefault`, the entries that the notion's one recurrence
-    `CHILD_KEYS[notion]` gives for the domains the action moves; the
-    bounded scan's last level makes the same entries and only looks them up.
+    `children()` the profiles of its extensions by each action, in index
+    order, in O(|D|) work per child plus a copy of the trace.  `keys[ui]` is
+    domain ui's key: two keys of one domain from one `start` are equal
+    exactly when the notion's definitional function (`purge`, `ipurge`,
+    `ta`, `to`, `ito`) gives equal values, which the test suite checks in
+    both directions.  `children` interns, with `table.setdefault`, the
+    entries of one call of the notion's recurrence `CHILD_KEYS[notion]` over
+    `jobs`: (ai, its domain, u) for every action ai and every u it moves,
+    action-major; the bounded scan's last level makes the same entries and
+    only looks them up.
 
     Purges, views and trees are int ids in an intern table that `start`
-    creates and every profile stepped from it shares.  A sequence is a trie
-    node, id(seq + (e,)) = table[(id(seq), e)], whose elements are action
-    indices and, in views, observation tokens; a tree node is table[(left
-    id, transmitted id, action index)], where an action of d transmits d's
-    `ta` tree, or under `to`/`ito` d's view before the action; under `ito`
-    another domain's node adds d's next token.  Id 0 is the empty sequence
-    and every empty-history tree: the `to`/`ito` trees drop their
-    initial-observation leaf, one per domain.  `views` holds each domain's
-    view id under `to`/`ito`, which transmit views, and is None otherwise.
-    Nothing turns an id back into its value; `oracle.trace_key` reads the
-    definitional functions instead, so no witness check reads a profile.
+    creates, as it does `jobs`, and every profile made from it shares.  A
+    sequence is a trie node, id(seq + (e,)) = table[(id(seq), e)], whose
+    elements are action indices and, in views, observation tokens; a tree
+    node is table[(left id, transmitted id, action index)], where an action
+    of d transmits d's `ta` tree, or under `to`/`ito` d's view before the
+    action; under `ito` another domain's node adds d's next token.  Id 0 is
+    the empty sequence and every empty-history tree: the `to`/`ito` trees
+    drop their initial-observation leaf, one per domain.  `views` holds each
+    domain's view id under `to`/`ito`, which transmit views, and is None
+    otherwise.  Nothing turns an id back into its value; `oracle.trace_key`
+    reads the definitional functions instead, so no witness check reads a
+    profile.
 
     Every profile key is an int id.  Under `ip`, `masks[u]` (None otherwise)
     is an int bitmask of the trace positions a permitted chain links to u,
@@ -357,12 +360,14 @@ class TraceProfile:
     u or to d, and a chain through the new action must reach d before it.
     """
 
-    __slots__ = ("system", "notion", "table", "state", "trace", "keys", "views", "masks")
+    __slots__ = ("system", "notion", "table", "jobs", "state", "trace", "keys", "views",
+                 "masks")
 
-    def __init__(self, system, notion, table, state, trace, keys, views, masks):
+    def __init__(self, system, notion, table, jobs, state, trace, keys, views, masks):
         self.system = system
         self.notion = notion
         self.table = table
+        self.jobs = jobs
         self.state = state
         self.trace = trace
         self.keys = keys
@@ -381,40 +386,46 @@ class TraceProfile:
         if notion in ("to", "ito"):
             views = [table.setdefault((0, t), len(table)) for t in system._obs[s0]]
         masks = [0] * nd if notion == "ip" else None
-        return cls(system, notion, table, s0, (), [0] * nd, views, masks)
+        jobs = [(ai, d, u) for ai, d in enumerate(system._dom) for u in system._moved[ai]]
+        return cls(system, notion, table, jobs, s0, (), [0] * nd, views, masks)
 
-    def step(self, ai: int) -> "TraceProfile":
-        """The profile of the trace extended by the action of index `ai`."""
-        sys, table, keys = self.system, self.table, self.keys
-        d = sys._dom[ai]
-        moved = sys._moved[ai]
-        state = sys._step[self.state][ai]
-        obs = sys._obs[state]
-
-        grown = list(keys)
-        entries = CHILD_KEYS[self.notion](self, [(ai, d, u) for u in moved])
-        for u, entry in zip(moved, entries):
-            grown[u] = table.setdefault(entry, len(table))
-        masks = self.masks
-        if masks is not None:
-            linked = masks[d] | 1 << len(self.trace)
-            masks = list(masks)
-            for u in moved:
-                masks[u] |= linked
-
-        views = self.views
-        if views is not None:
-            # Every view ends in its domain's current token and collapses
-            # stutter, so only the actor's view and those whose token
-            # changed grow.
-            acted = table.setdefault((views[d], ai), len(table))
-            views = list(views)
-            views[d] = table.setdefault((acted, obs[d]), len(table))
-            before = sys._obs[self.state]
-            if obs != before:
-                for v, o in enumerate(obs):
-                    if o != before[v] and v != d:
-                        views[v] = table.setdefault((views[v], o), len(table))
-
-        return TraceProfile(sys, self.notion, table, state,
-                            self.trace + (sys.actions[ai],), grown, views, masks)
+    def children(self) -> list["TraceProfile"]:
+        """The profiles of the trace extended by each action, in action
+        index order."""
+        sys, table, keys, masks, views = (
+            self.system, self.table, self.keys, self.masks, self.views)
+        intern = table.setdefault
+        entries = CHILD_KEYS[self.notion](self, self.jobs)
+        dom, names, obs = sys._dom, sys.actions, sys._obs
+        targets, before = sys._step[self.state], obs[self.state]
+        bit = 1 << len(self.trace)
+        out = []
+        at = 0  # where the action's entries start in `entries`
+        for ai, moved in enumerate(sys._moved):
+            d, state = dom[ai], targets[ai]
+            grown = list(keys)
+            for i, u in enumerate(moved, at):
+                grown[u] = intern(entries[i], len(table))
+            at += len(moved)
+            linked = masks
+            if masks is not None:
+                linked = list(masks)
+                mask = masks[d] | bit
+                for u in moved:
+                    linked[u] |= mask
+            seen = views
+            if views is not None:
+                # Every view ends in its domain's current token and collapses
+                # stutter, so only the actor's view and those whose token
+                # changed grow.
+                after = obs[state]
+                seen = list(views)
+                acted = intern((views[d], ai), len(table))
+                seen[d] = intern((acted, after[d]), len(table))
+                if after != before:
+                    for v, o in enumerate(after):
+                        if o != before[v] and v != d:
+                            seen[v] = intern((views[v], o), len(table))
+            out.append(TraceProfile(sys, self.notion, table, self.jobs, state,
+                                    self.trace + (names[ai],), grown, seen, linked))
+        return out

@@ -5,23 +5,27 @@ test files (or test node ids) that must fail on it.
 
     python3 tests/mutants.py
 
-The runner copies `PARTS` to a temporary directory, applies one
-mutant at a time there, runs its targets with `pytest -x`, and prints
-"killed" or "SURVIVED" for each.  A mutant is killed only when its targets
-ran and failed (pytest exit 1) or hung past `TIMEOUT_S`.  The runner exits
-1 if any mutant survives, and 2 if an anchor does not occur exactly once or
-pytest ends in any other way (a collection error, a node id that no longer
-exists, no tests collected); the working tree is never written.  `tests/test_mutants.py` checks every anchor in tier-1, so a change
+The runner makes `WORKERS` copies of `PARTS` in a temporary directory and
+runs that many mutants at a time, each in a copy of its own: it applies the
+mutant, runs its targets with `pytest -x`, and prints "killed" or
+"SURVIVED" for each, in catalogue order.  A mutant is killed only when its
+targets ran and failed (pytest exit 1) or hung past `TIMEOUT_S`.  The
+runner exits 1 if any mutant survives, and 2 if an anchor does not occur
+exactly once or pytest ends in any other way (a collection error, a node id
+that no longer exists, no tests collected); the working tree is never
+written.  `tests/test_mutants.py` checks every anchor in tier-1, so a change
 that moves the code must update this catalogue rather than lose a mutant.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PARTS = ("src", "tests", "tools", "demos")
 #: A mutant whose targets run longer than this counts as killed.
 TIMEOUT_S = 300
+#: Mutants run at a time, each in its own copy.
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 class Mutant(NamedTuple):
@@ -257,9 +263,25 @@ MUTANTS = (
     Mutant(
         "ip drops the actor's mask",
         "src/nicheck/semantics.py",
-        "linked = masks[d] | 1 << len(self.trace)",
-        "linked = 1 << len(self.trace)",
+        "mask = masks[d] | bit",
+        "mask = bit",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "children hands each action the first action's entries",
+        "src/nicheck/semantics.py",
+        "at += len(moved)",
+        "at += 0",
+        ("tests/test_semantics.py::TestTraceProfile"
+         "::test_children_are_the_one_action_extensions",),
+    ),
+    Mutant(
+        "children steps every action from the parent's state",
+        "src/nicheck/semantics.py",
+        "d, state = dom[ai], targets[ai]",
+        "d, state = dom[ai], self.state",
+        ("tests/test_semantics.py::TestTraceProfile"
+         "::test_children_are_the_one_action_extensions",),
     ),
     Mutant(
         "check's secure verdict falls through to the witness tail",
@@ -345,15 +367,28 @@ def main() -> int:
             return 2
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        copy_parts(work)
-        for m in MUTANTS:
-            code = _run(m, work)
-            if code not in (0, 1):
-                print(f"{m.name}: pytest exited {code}", file=sys.stderr)
-                return 2
-            survived += code == 0
-            print(f"{'killed' if code else 'SURVIVED':8}  {m.name}", flush=True)
+        copies: queue.SimpleQueue = queue.SimpleQueue()
+        for k in range(WORKERS):
+            copy_parts(Path(tmp, str(k)))
+            copies.put(Path(tmp, str(k)))
+
+        def run(mutant: Mutant) -> int:
+            work = copies.get()
+            try:
+                return _run(mutant, work)
+            finally:
+                copies.put(work)
+
+        # `map` yields in catalogue order; leaving the pool waits for the
+        # mutants still running, so no copy is removed under them.
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for m, code in zip(MUTANTS, pool.map(run, MUTANTS)):
+                if code not in (0, 1):
+                    print(f"{m.name}: pytest exited {code}", file=sys.stderr)
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    return 2
+                survived += code == 0
+                print(f"{'killed' if code else 'SURVIVED':8}  {m.name}", flush=True)
     return 1 if survived else 0
 
 

@@ -69,23 +69,24 @@ def bounded_check(
 
     def scan(length: int) -> Optional[BoundedVerdict]:
         # Depth-first over the traces of exactly `length` actions, in action
-        # declaration order.  The stack holds each open prefix with the index
-        # of the next action to try, so depth is not bounded by recursion.
+        # declaration order.  The stack holds the extensions of each open
+        # prefix with the index of the next one to try, so depth is not
+        # bounded by recursion.
         if length == 0:
             return check(root)
-        stack = [(root, 0)]
+        stack = [(root.children(), 0)]
         while stack:
-            profile, i = stack.pop()
+            children, i = stack.pop()
             if i == n_actions:
                 continue
-            stack.append((profile, i + 1))
-            child = profile.step(i)
+            stack.append((children, i + 1))
+            child = children[i]
             if len(stack) == length:
                 hit = check(child)
                 if hit is not None:
                     return hit
             else:
-                stack.append((child, 0))
+                stack.append((child.children(), 0))
         return None
 
     # Iterative deepening keeps memory linear in depth while preserving the

@@ -179,8 +179,9 @@ def _partitions_disagree(system, depth, pairs):
                 if f2t is not tk or t2f != fk:
                     mismatches.append((flat, system.policy.domains[u], profile.trace))
         if remaining:
+            children = {flat: p.children() for flat, p in profiles.items()}
             for ai in range(len(system.actions)):
-                scan({flat: p.step(ai) for flat, p in profiles.items()}, remaining - 1)
+                scan({flat: kids[ai] for flat, kids in children.items()}, remaining - 1)
 
     scan({flat: TraceProfile.start(system, flat) for flat, _ in pairs}, depth)
     return mismatches

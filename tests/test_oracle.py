@@ -155,22 +155,29 @@ class TestBoundedCheck:
         assert out.insecure and out.alpha == () and out.beta == ("b",) * 300
 
     def test_each_trace_is_extended_once(self, pcp_demo, monkeypatch):
-        calls = 0
-        step = TraceProfile.step
+        calls = made = 0
+        children = TraceProfile.children
+        traces = set()
 
-        def counted(profile, ai):
-            nonlocal calls
+        def counted(profile):
+            nonlocal calls, made
+            out = children(profile)
             calls += 1
-            return step(profile, ai)
+            made += len(out)
+            traces.update(child.trace for child in out)
+            return out
 
-        monkeypatch.setattr(TraceProfile, "step", counted)
+        monkeypatch.setattr(TraceProfile, "children", counted)
         # 7 actions: 7 + 49 + 343 + 2401 non-empty traces shorter than depth
-        # 5; the 16807 traces of the last level are keyed from their parents.
+        # 5, made by one call for each of the 1 + 7 + 49 + 343 traces shorter
+        # than 4; the 16807 traces of the last level are keyed from their
+        # parents.
         assert not nc.bounded_check(pcp_demo, "to", 5).insecure
-        assert calls == 2_800
-        calls = 0
+        assert made == len(traces) == 2_800 and calls == 400
+        calls = made = 0
+        traces.clear()
         assert nc.bounded_check(self.chain(300), "ip", 300).insecure
-        assert calls == 299
+        assert made == len(traces) == 299
 
     def test_scan_leaves_system_trees_empty(self):
         # The scan interns its trees in a table of its own; only the
@@ -378,7 +385,7 @@ class TestLastLevelKeys:
                     k = profile.keys[u]
                     rows.append((u, k, k, False))
             if length < depth - 1:
-                frontier = [p.step(ai) for p in frontier for ai in range(na)]
+                frontier = [c for p in frontier for c in p.children()]
         # Every last-level key is looked up before any child is stepped, so
         # an int is a key that a shorter trace already has, and a tuple an
         # entry that no shorter trace has.
@@ -388,7 +395,7 @@ class TestLastLevelKeys:
         last = [(profile, [get(e, e) for e in CHILD_KEYS[notion](profile, jobs)])
                 for profile in frontier]
         for profile, keys in last:
-            children = [profile.step(ai) for ai in range(na)]
+            children = profile.children()
             for (ai, _, u), k in zip(jobs, keys):
                 rows.append((u, k, children[ai].keys[u], True))
         return rows
@@ -426,7 +433,7 @@ class TestScanKeyRepresentation:
             held = fresh = 0
             level = [TraceProfile.start(s, notion)]
             for _ in range(3):
-                level = [p.step(ai) for p in level for ai in range(na)]
+                level = [c for p in level for c in p.children()]
             for profile in level:
                 assert all(type(k) is int for k in profile.keys), notion
                 table = profile.table
@@ -466,22 +473,22 @@ class TestScanKeyRepresentation:
     def test_last_level_interns_nothing(self, pcp_demo, notion, depth, monkeypatch):
         # Under p, ta, to and ito the last level only looks its entries up,
         # so a clear scan (under p pcp_demo is clear only to depth 2) leaves
-        # the root's table as the last step below it left it.
+        # the root's table as the last profiles below it left it.
         tables, sizes = [], []
-        start, step = TraceProfile.start, TraceProfile.step
+        start, children = TraceProfile.start, TraceProfile.children
 
         def started(system, name):
             root = start(system, name)
             tables.append(root.table)
             return root
 
-        def stepped(profile, ai):
-            child = step(profile, ai)
-            sizes.append(len(child.table))
-            return child
+        def stepped(profile):
+            out = children(profile)
+            sizes.extend(len(child.table) for child in out)
+            return out
 
         monkeypatch.setattr(TraceProfile, "start", started)
-        monkeypatch.setattr(TraceProfile, "step", stepped)
+        monkeypatch.setattr(TraceProfile, "children", stepped)
         assert nc.bounded_check(pcp_demo, notion, depth) == nc.BoundedVerdict(False, depth)
         assert len(tables) == 1 and len(sizes) == sum(7 ** k for k in range(1, depth))
         assert len(tables[0]) == sizes[-1]
@@ -507,10 +514,11 @@ class TestKeySkipInvariance:
             for _ in range(10):
                 profiles = [TraceProfile.start(s, notion) for notion in nc.NOTIONS]
                 for a in random_trace(rng, s, 6):
-                    profiles = [p.step(s.action_index(a)) for p in profiles]
+                    profiles = [p.children()[s.action_index(a)] for p in profiles]
                 trace = profiles[0].trace
+                extensions = [p.children() for p in profiles]
                 for ai, a in enumerate(s.actions):
-                    children = [p.step(ai) for p in profiles]
+                    children = [kids[ai] for kids in extensions]
                     row = s._may[s._dom[ai]]
                     for u in range(nd):
                         if row[u]:
@@ -774,7 +782,7 @@ class TestCheckWitnessPair:
             raise AssertionError("a witness check built a TraceProfile")
 
         monkeypatch.setattr(TraceProfile, "start", refuse)
-        monkeypatch.setattr(TraceProfile, "step", refuse)
+        monkeypatch.setattr(TraceProfile, "children", refuse)
         for s, notion, u, alpha, beta in found:
             assert nc.check_witness_pair(s, notion, u, alpha, beta)
         fig5, alpha = nc.fixture("fig5"), ("h", "d", "l")

@@ -276,7 +276,7 @@ class TestTraceProfile:
                 level = [TraceProfile.start(s, notion)]
                 profiles = list(level)
                 for _ in range(4):
-                    level = [prof.step(ai) for prof in level for ai in range(len(s.actions))]
+                    level = [c for prof in level for c in prof.children()]
                     profiles += level
                 for prof in profiles:
                     assert prof.state == s.state_index(nc.run(s, s.initial, prof.trace))
@@ -290,11 +290,40 @@ class TestTraceProfile:
                         assert len(pairs) == len({k for k, _ in pairs}) == \
                             len({v for _, v in pairs}), (params, notion, d, ids)
 
+    def test_children_are_the_one_action_extensions(self):
+        # A profile's children are its one-action extensions in action index
+        # order: each holds the trace and the state that action leads to and
+        # shares the parent's table, and their keys part the traces as the
+        # definitional functions do.
+        defined = {"p": nc.purge, "ip": nc.ipurge, "ta": nc.ta, "to": nc.to, "ito": nc.ito}
+        for name in nc.FIXTURE_NAMES:
+            s = nc.fixture(name)
+            for notion in nc.NOTIONS:
+                level = [TraceProfile.start(s, notion)]
+                profiles = list(level)
+                for _ in range(3):
+                    grown = []
+                    for parent in level:
+                        children = parent.children()
+                        assert len(children) == len(s.actions), (name, notion)
+                        for ai, (a, child) in enumerate(zip(s.actions, children)):
+                            assert child.trace == parent.trace + (a,), (name, notion)
+                            assert child.state == s._step[parent.state][ai], (name, notion)
+                            assert child.table is parent.table, (name, notion)
+                        grown += children
+                    level = grown
+                    profiles += level
+                for i, d in enumerate(s.policy.domains):
+                    pairs = {(prof.keys[i], defined[notion](s, d, prof.trace))
+                             for prof in profiles}
+                    assert len(pairs) == len({k for k, _ in pairs}) == \
+                        len({v for _, v in pairs}), (name, notion, d)
+
     def test_untracked_components_stay_none(self, fig5):
         # Views are tracked only where a notion transmits them.
         h = fig5.action_index("h")
         for notion in nc.NOTIONS:
-            prof = TraceProfile.start(fig5, notion).step(h)
+            prof = TraceProfile.start(fig5, notion).children()[h]
             assert prof.keys is not None, notion
             assert (prof.views is None) == (notion in ("p", "ip", "ta")), notion
 

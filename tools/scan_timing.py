@@ -15,6 +15,11 @@ busy host can read a notion far off.  The script refuses to time trees
 whose verdicts differ.  It prints, per notion, each tree's median time per
 check (the median over the runs), the ratio NEW/OLD of every run, and the
 median of those ratios, which is the reading to use.
+
+It cannot resolve a change under about 10 % per notion: rows whose code was
+the same in both trees have read from 0.95 to 1.16 in a run.  A claim that a
+scan got faster by less than that must come from alternating pairs of
+`perfbench/run.py --workload bounded_pcp` runs instead.
 """
 
 from __future__ import annotations
