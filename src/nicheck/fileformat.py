@@ -67,7 +67,7 @@ def parse_system(text: str) -> System:
     # without one share one null row at the end.  In the `check_files`
     # benchmark files at most one state in 3 000 has an `obs` line; a file
     # with one for every state parses as fast as with a row per state made
-    # on its `state` line (`tools/parse_timing.py`, file `observed`).
+    # on its `state` line (`tools/ab_timing.py`, row `observed`).
     obs: list[list[str | None] | None] = []
     diags: list[str] = []
 

@@ -325,6 +325,56 @@ MUTANTS = (
         "break",
         ("tests/test_verify.py", "tests/test_oracle.py", "tests/test_system.py"),
     ),
+    Mutant(
+        "an ordered argument takes a set",
+        "src/nicheck/system.py",
+        "if ordered and isinstance(value, (set, frozenset)):",
+        "if False:",
+        ("tests/test_system.py::test_ordered_argument_refuses_a_set",),
+    ),
+    Mutant(
+        "a negative budget passes",
+        "src/nicheck/oracle.py",
+        "if budget < 0:",
+        "if False:",
+        ("tests/test_cli.py::TestBounded::test_negative_budget_is_an_input_error",),
+    ),
+    Mutant(
+        "parser ends a line at every line boundary",
+        "src/nicheck/fileformat.py",
+        'lines = text.split("\\n")',
+        "lines = text.splitlines()",
+        ("tests/test_fileformat.py::TestParse::test_only_lf_cr_lf_and_cr_end_a_line",),
+    ),
+    Mutant(
+        "check reads the byte order mark",
+        "src/nicheck/cli.py",
+        'encoding="utf-8-sig"',
+        'encoding="utf-8"',
+        ("tests/test_cli.py::TestCheck::test_byte_order_mark_is_skipped",),
+    ),
+    Mutant(
+        "a crash exits as insecure",
+        "src/nicheck/cli.py",
+        'print(f"{type(err).__name__}: {err}", file=sys.stderr)\n        return 3',
+        'print(f"{type(err).__name__}: {err}", file=sys.stderr)\n        return 1',
+        ("tests/test_cli.py::TestCrash",),
+    ),
+    Mutant(
+        "trace_key sends tview under ito",
+        "src/nicheck/oracle.py",
+        'sent = ftview if notion == "ito" else tview',
+        "sent = tview",
+        ("tests/test_oracle.py::TestTreeKeyRefinement",),
+    ),
+    Mutant(
+        "trace_key drops the observer's tview",
+        "src/nicheck/oracle.py",
+        "return (purge(system, u, alpha), tview(system, u, alpha),",
+        "return (purge(system, u, alpha),",
+        ("tests/test_oracle.py::TestTreeKeyRefinement"
+         "::test_flattened_keys_and_trees_partition_fixtures_alike",),
+    ),
 )
 
 
