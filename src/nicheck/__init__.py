@@ -24,7 +24,6 @@ from .semantics import (
     EPSILON,
     OBS,
     InfoTree,
-    TraceProfile,
     ftview,
     ipurge,
     ito,
@@ -47,6 +46,7 @@ from .verify import (
 from .oracle import (
     BoundedVerdict,
     NOTIONS,
+    TraceProfile,
     bounded_check,
     check_witness_pair,
     exact_pair_check_ip,

@@ -16,7 +16,7 @@ from .errors import BudgetError, InputError
 from .fileformat import parse_system, serialize_system
 from .generate import FIXTURE_NAMES, GenParams, fixture, gen_random_system
 from .oracle import DEFAULT_TRACE_BUDGET, NOTIONS, bounded_check
-from .reduction import PcpInstance, augment_final, build_pcp_system, pcp_witness
+from .reduction import PcpInstance, augment_final, build_pcp_system
 from .system import System, _lookup, gc_paused, run
 from .verify import decide_ip, decide_p, decide_ta
 

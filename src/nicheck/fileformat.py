@@ -136,7 +136,7 @@ def parse_system(text: str) -> System:
                 if name in states:
                     diags.append(f"line {lineno}: duplicate state {name!r}")
                     continue
-                si = states[name] = len(states)
+                states[name] = len(states)
                 step.append([-1] * len(aidx))
                 obs.append(None)
                 if n == 3:

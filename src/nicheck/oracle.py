@@ -4,6 +4,12 @@ These cross-validate the union-find deciders and serve as bounded
 semi-decision procedures for the two notions that no algorithm can decide.
 A bounded check that finds no violation proves nothing beyond the explored
 depth; its verdict says exactly that.
+
+The bounded scan lives here whole: `bounded_check` and its enumeration
+`_scan`, the per-prefix `TraceProfile`, and the key recurrences
+`CHILD_KEYS`, which share one intern table of int ids.  The witness check
+`check_witness_pair` reads none of them: its keys (`trace_key`) come from
+the definitions in `semantics`.
 """
 
 from __future__ import annotations
@@ -13,9 +19,178 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetError, InputError
-from .semantics import CHILD_KEYS, TraceProfile, ftview, ipurge, purge, ta, tview
+from .semantics import ftview, ipurge, purge, ta, tview
 from .system import System, _int_of, _lookup, _observing, _tuple_of, gc_paused, run
 from .verify import Verdict
+
+# One key recurrence per notion, ta and to sharing one: an action of d
+# sends d's tree under ta and d's view under to, and that is all that
+# differs between them.  CHILD_KEYS[notion](profile, jobs) takes a list of
+# (action index ai, its domain d, domain u) jobs and gives, per job, the
+# table entry that u's key for the trace `profile.trace + (action ai,)` is
+# interned under, read off the parent's profile without building the
+# child's: (u's key, ai) under p and ip, (u's key, what d sends, ai) under
+# ta, to and ito.  Under ito, d sends every other u its view after the
+# action, which is its view before, ai and its next token, so u's entry
+# holds the token as a fourth item.  Only ip's walked purges are interned,
+# never an entry: `TraceProfile.children` interns each entry as a child's
+# key.
+#
+# Every key of u changes only at actions whose domain may interfere with u:
+# purge_u, ipurge_u with its position mask, and the trees move only where
+# the policy row of the acting domain holds u.  So every other domain keeps
+# its parent's key, and a job's u may be any domain of `System._moved[ai]`.
+
+
+def _child_p(profile, jobs):
+    keys = profile.keys
+    return [(keys[u], ai) for ai, d, u in jobs]
+
+
+def _child_ip(profile, jobs):
+    # keys[v] is the id of the trace at masks[v]; any other mask is walked.
+    keys, masks = profile.keys, profile.masks
+    out = []
+    for ai, d, u in jobs:
+        m = masks[u] | masks[d]
+        k = keys[u] if m == masks[u] else (
+            keys[masks.index(m)] if m in masks else _walk_id(profile, m))
+        out.append((k, ai))
+    return out
+
+
+def _walk_id(profile, mask):
+    table, aidx, k = profile.table, profile.system._aidx, 0
+    for i, a in enumerate(profile.trace):
+        if mask >> i & 1:
+            k = table.setdefault((k, aidx[a]), len(table))
+    return k
+
+
+def _child_tree(profile, jobs):
+    keys = profile.keys
+    sent = keys if profile.views is None else profile.views
+    return [(keys[u], sent[d], ai) for ai, d, u in jobs]
+
+
+def _child_ito(profile, jobs):
+    # d's view after the action is its view before, the action and its next
+    # token, so another domain's entry carries those three in its place.
+    keys, views = profile.keys, profile.views
+    targets, obs = profile.system._step[profile.state], profile.system._obs
+    return [(keys[u], views[d], ai) if u == d else
+            (keys[u], views[d], ai, obs[targets[ai]][d]) for ai, d, u in jobs]
+
+
+CHILD_KEYS = {"p": _child_p, "ip": _child_ip, "ta": _child_tree,
+              "to": _child_tree, "ito": _child_ito}
+
+
+class TraceProfile:
+    """Every domain's key under one notion for one action prefix.
+
+    `start(system, notion)` makes the profile of the empty trace, and
+    `children()` the profiles of its extensions by each action, in index
+    order, in O(|D|) work per child plus a copy of the trace.  `keys[ui]` is
+    domain ui's key: two keys of one domain from one `start` are equal
+    exactly when the notion's definitional function (`purge`, `ipurge`,
+    `ta`, `to`, `ito`) gives equal values, which the test suite checks in
+    both directions.  `children` interns, with `table.setdefault`, the
+    entries of one call of the notion's recurrence `CHILD_KEYS[notion]` over
+    `jobs`: (ai, its domain, u) for every action ai and every u it moves,
+    action-major.
+
+    Purges, views and trees are int ids in an intern table that `start`
+    creates, as it does `jobs`, and every profile made from it shares.  A
+    sequence is a trie node, id(seq + (e,)) = table[(id(seq), e)], whose
+    elements are action indices and, in views, observation tokens; a tree
+    node is table[(left id, transmitted id, action index)], where an action
+    of d transmits d's `ta` tree, or under `to`/`ito` d's view before the
+    action; under `ito` another domain's node adds d's next token.  Id 0 is
+    the empty sequence and every empty-history tree: the `to`/`ito` trees
+    drop their initial-observation leaf, one per domain.  `views` holds each
+    domain's view id under `to`/`ito`, which transmit views, and is None
+    otherwise.  Nothing turns an id back into its value; `trace_key` reads
+    the definitional functions instead, so no witness check reads a profile.
+
+    Every profile key is an int id.  Under `ip`, `masks[u]` (None otherwise)
+    is an int bitmask of the trace positions a permitted chain links to u,
+    and `keys[u]` is the id of the trace at them: u's intransitive purge.  An
+    action of d at position n sets every u that d may interfere with to
+    u | d | {n}: the positions linked to the set {u, d} are those linked to
+    u or to d, and a chain through the new action must reach d before it.
+    """
+
+    __slots__ = ("system", "notion", "table", "jobs", "state", "trace", "keys", "views",
+                 "masks")
+
+    def __init__(self, system, notion, table, jobs, state, trace, keys, views, masks):
+        self.system = system
+        self.notion = notion
+        self.table = table
+        self.jobs = jobs
+        self.state = state
+        self.trace = trace
+        self.keys = keys
+        self.views = views
+        self.masks = masks
+
+    @classmethod
+    def start(cls, system: System, notion: str) -> "TraceProfile":
+        """The profile of the empty trace under `notion`, with a new intern
+        table; `InputError` unless `notion` is one of the five notions."""
+        _lookup(CHILD_KEYS, notion, "security notion")
+        s0 = system.state_index(system.initial)
+        table = {None: 0}  # id 0: the empty sequence and the empty-history tree
+        nd = len(system.policy.domains)
+        views = None
+        if notion in ("to", "ito"):
+            views = [table.setdefault((0, t), len(table)) for t in system._obs[s0]]
+        masks = [0] * nd if notion == "ip" else None
+        jobs = [(ai, d, u) for ai, d in enumerate(system._dom) for u in system._moved[ai]]
+        return cls(system, notion, table, jobs, s0, (), [0] * nd, views, masks)
+
+    def children(self) -> list["TraceProfile"]:
+        """The profiles of the trace extended by each action, in action
+        index order."""
+        sys, table, keys, masks, views = (
+            self.system, self.table, self.keys, self.masks, self.views)
+        intern = table.setdefault
+        entries = CHILD_KEYS[self.notion](self, self.jobs)
+        dom, names, obs = sys._dom, sys.actions, sys._obs
+        targets, before = sys._step[self.state], obs[self.state]
+        bit = 1 << len(self.trace)
+        out = []
+        at = 0  # where the action's entries start in `entries`
+        for ai, moved in enumerate(sys._moved):
+            d, state = dom[ai], targets[ai]
+            grown = list(keys)
+            for i, u in enumerate(moved, at):
+                grown[u] = intern(entries[i], len(table))
+            at += len(moved)
+            linked = masks
+            if masks is not None:
+                linked = list(masks)
+                mask = masks[d] | bit
+                for u in moved:
+                    linked[u] |= mask
+            seen = views
+            if views is not None:
+                # Every view ends in its domain's current token and collapses
+                # stutter, so only the actor's view and those whose token
+                # changed grow.
+                after = obs[state]
+                seen = list(views)
+                acted = intern((views[d], ai), len(table))
+                seen[d] = intern((acted, after[d]), len(table))
+                if after != before:
+                    for v, o in enumerate(after):
+                        if o != before[v] and v != d:
+                            seen[v] = intern((views[v], o), len(table))
+            out.append(TraceProfile(sys, self.notion, table, self.jobs, state,
+                                    self.trace + (names[ai],), grown, seen, linked))
+        return out
+
 
 NOTIONS = tuple(CHILD_KEYS)
 
@@ -55,9 +230,9 @@ def trace_key(system: System, notion: str, u: str, alpha) -> object:
     are, which the test suite checks in both directions.  Each is computed
     straight from the definitional functions of `semantics`, never from a
     `TraceProfile`, whose `to`/`ito` keys are interned trees built by
-    `semantics.CHILD_KEYS`; so a witness the bounded scan finds is re-checked
-    against a different representation, independently of the recurrences
-    that found it.
+    `CHILD_KEYS`; so a witness the bounded scan finds is re-checked against
+    a different representation, independently of the recurrences that
+    found it.
     """
     _lookup(CHILD_KEYS, notion, "security notion")
     alpha = _tuple_of(alpha, "alpha")
@@ -118,9 +293,9 @@ def bounded_check(
     every trace shorter than the depth is built exactly once, and at most
     |A|^(depth-1) profiles are held, a number the budget already bounds.  The
     last level is never extended, so its traces get no profile: one call of
-    the notion's recurrence (`semantics.CHILD_KEYS`, the one
-    `TraceProfile.children` uses) per parent gives the table entry of every
-    child's key, and each entry is looked up, never interned.  An entry the
+    the notion's recurrence (`CHILD_KEYS`, the one `TraceProfile.children`
+    uses) per parent gives the table entry of every child's key, and each
+    entry is looked up, never interned.  An entry the
     table holds reads as its int id, the key of a shorter trace; any other
     entry is its own key, equal only to an equal entry of the last level.
     Every profile key is an int id in the one table the root profile made,
@@ -207,8 +382,6 @@ def _scan(system: System, notion: str, child_keys, checked: list, depth: int) ->
             before = obs[parent.state]
             targets = step[parent.state]
             if length == depth:
-                # An entry no shorter trace has keys itself: a tuple, equal
-                # only to an equal entry of this level and never to an id.
                 # No lookup changes its answer within the level: only an `ip`
                 # walk interns, and only sequences shorter than the depth, any
                 # of which that is a purge being, as ipurge is idempotent, its

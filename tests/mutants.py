@@ -96,7 +96,8 @@ MUTANTS = (
         "src/nicheck/oracle.py",
         "if n_actions < 2:",
         "if n_actions == 1:",
-        ("tests/test_oracle.py",),
+        ("tests/test_oracle.py::TestBoundedCheck"
+         "::test_actionless_machine_stops_at_the_empty_level",),
     ),
     Mutant(
         "augment_final marks domains unescaped",
@@ -198,28 +199,29 @@ MUTANTS = (
     ),
     Mutant(
         "ito sends the pre-action view to every domain",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "ai, obs[targets[ai]][d])",
         "ai)",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
     ),
     Mutant(
         "ito sends the actor its own token",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "[(keys[u], views[d], ai) if u == d else\n            (keys[u]",
         "[(keys[u]",
-        ("tests/test_oracle.py", "tests/test_acceptance.py"),
+        ("tests/test_oracle.py::TestMovedDomainViolations",
+         "tests/test_acceptance.py::test_criterion_5_partition_equivalence"),
     ),
     Mutant(
         "views never grow at another domain's new token",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "if o != before[v] and v != d:",
         "if False:",
         ("tests/test_acceptance.py::test_criterion_1_fixture_classification",),
     ),
     Mutant(
         "ip reads the observer's own purge for a mask no domain holds",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "else _walk_id(profile, m)",
         "else keys[u]",
         ("tests/test_oracle.py::TestBoundedCheck"
@@ -255,21 +257,21 @@ MUTANTS = (
     ),
     Mutant(
         "ta transmits nothing",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "sent = keys if profile.views is None else profile.views",
         "sent = [0] * len(keys) if profile.views is None else profile.views",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
     ),
     Mutant(
         "ip drops the actor's mask",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "mask = masks[d] | bit",
         "mask = bit",
         ("tests/test_oracle.py", "tests/test_acceptance.py"),
     ),
     Mutant(
         "children hands each action the first action's entries",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "at += len(moved)",
         "at += 0",
         ("tests/test_semantics.py::TestTraceProfile"
@@ -277,7 +279,7 @@ MUTANTS = (
     ),
     Mutant(
         "children steps every action from the parent's state",
-        "src/nicheck/semantics.py",
+        "src/nicheck/oracle.py",
         "d, state = dom[ai], targets[ai]",
         "d, state = dom[ai], self.state",
         ("tests/test_semantics.py::TestTraceProfile"
@@ -316,7 +318,7 @@ MUTANTS = (
         "src/nicheck/system.py",
         "for s in system._reach:\n        row = obs[s]",
         "for s in range(len(obs)):\n        row = obs[s]",
-        ("tests/test_verify.py", "tests/test_oracle.py", "tests/test_system.py"),
+        ("tests/test_verify.py::TestBlindObserversSkipped",),
     ),
     Mutant(
         "observing stops at the first differing row",
@@ -374,6 +376,49 @@ MUTANTS = (
         "return (purge(system, u, alpha),",
         ("tests/test_oracle.py::TestTreeKeyRefinement"
          "::test_flattened_keys_and_trees_partition_fixtures_alike",),
+    ),
+    Mutant(
+        "witness check ignores the final observations",
+        "src/nicheck/oracle.py",
+        "    return system.obs(end_a, u) != system.obs(end_b, u)\n",
+        "    return True\n",
+        ("tests/test_oracle.py::TestCheckWitnessPair",),
+    ),
+    Mutant(
+        "pair search never finds a split",
+        "src/nicheck/oracle.py",
+        "if obs[s][u] != obs[t][u]:\n            return pair",
+        "if False:\n            return pair",
+        ("tests/test_oracle.py::TestExactPairChecks",),
+    ),
+    Mutant(
+        "ip pair witness drops the inserted action",
+        "src/nicheck/oracle.py",
+        "prefix + (names[a0],) + suffix_a",
+        "prefix + suffix_a",
+        ("tests/test_oracle.py::TestExactPairChecks",),
+    ),
+    Mutant(
+        "p pair check moves only in step",
+        "src/nicheck/oracle.py",
+        "moves = ([(a, a) for a in all_actions] + [(a, None) for a in invisible]\n"
+        "                 + [(None, a) for a in invisible])",
+        "moves = [(a, a) for a in all_actions]",
+        ("tests/test_oracle.py::TestExactPairChecks",),
+    ),
+    Mutant(
+        "shortest path takes every action's first target",
+        "src/nicheck/system.py",
+        "path.append(step[s].index(target))",
+        "path.append(0)",
+        ("tests/test_verify.py::TestFlatClosureIdentity::test_paths_equal_reference_search",),
+    ),
+    Mutant(
+        "decide_p seeds with every action, visible ones too",
+        "src/nicheck/verify.py",
+        "([u], _lr_single(system, reach, [a for a in all_actions if not may[dom[a]][u]]),",
+        "([u], _lr_single(system, reach, all_actions),",
+        ("tests/test_verify.py::TestDecideP",),
     ),
 )
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from nicheck.errors import BudgetError, InputError
-from nicheck.oracle import DEFAULT_TRACE_BUDGET, NOTIONS, BoundedVerdict, _count_traces
-from nicheck.semantics import TraceProfile
+from nicheck.oracle import (DEFAULT_TRACE_BUDGET, NOTIONS, BoundedVerdict, TraceProfile,
+                            _count_traces)
 from nicheck.system import System
 
 

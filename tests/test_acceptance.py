@@ -9,7 +9,8 @@ import time
 
 import nicheck as nc
 from nicheck.cli import linear_fit_max_ratio, main, run_scaling_bench
-from nicheck.semantics import OBS, TraceProfile
+from nicheck.oracle import TraceProfile
+from nicheck.semantics import OBS
 from conftest import corpus_params, random_trace, transitive_closure
 
 

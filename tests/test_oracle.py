@@ -11,8 +11,8 @@ import nicheck as nc
 import reference_scan
 from conftest import corpus_params, hidden_bit_system, random_trace
 from test_verify import _perturb
-from nicheck import semantics
-from nicheck.semantics import CHILD_KEYS, TraceProfile
+from nicheck import oracle
+from nicheck.oracle import CHILD_KEYS, TraceProfile
 from nicheck.system import _observing
 
 
@@ -456,13 +456,13 @@ class TestScanKeyRepresentation:
         # branches run: the walk on fig6, where L's mask and D1's do not nest
         # after h1 d2, and never on pcp_demo or on a deep one-action machine.
         walks = []
-        walk = semantics._walk_id
+        walk = oracle._walk_id
 
         def counted(profile, mask):
             walks.append(mask)
             return walk(profile, mask)
 
-        monkeypatch.setattr(semantics, "_walk_id", counted)
+        monkeypatch.setattr(oracle, "_walk_id", counted)
         assert not nc.bounded_check(pcp_demo, "ip", 4).insecure
         assert nc.bounded_check(TestBoundedCheck.chain(2_000), "ip", 2_000).insecure
         assert walks == []

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import nicheck as nc
-from nicheck.semantics import ACT, OBS, TraceProfile
+from nicheck.oracle import TraceProfile
+from nicheck.semantics import ACT, OBS
 from conftest import corpus_params, random_trace
 
 

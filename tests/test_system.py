@@ -2,6 +2,7 @@ import ast
 import inspect
 import random
 from collections.abc import Mapping
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -784,3 +785,24 @@ def test_star_import_binds_no_module():
         "reachable_states", "run", "serialize_system", "sources", "swappable", "ta",
         "to", "trace_key", "tview", "view",
     }
+
+
+def test_every_import_is_read():
+    # A name that an `import` in a module of the package binds and no `Name`
+    # reads is an unused import.  `__init__` imports to re-export, and a
+    # `__future__` import binds nothing.
+    unread = []
+    for path in sorted(Path(nc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
